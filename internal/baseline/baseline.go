@@ -33,21 +33,11 @@ func (LLF) Select(_ wlan.Request, aps []wlan.APView) (trace.APID, error) {
 	}
 	best := aps[0]
 	for _, ap := range aps[1:] {
-		if less(ap, best) {
+		if ap.LessLoaded(best) {
 			best = ap
 		}
 	}
 	return best.ID, nil
-}
-
-func less(a, b wlan.APView) bool {
-	if a.LoadBps != b.LoadBps {
-		return a.LoadBps < b.LoadBps
-	}
-	if len(a.Users) != len(b.Users) {
-		return len(a.Users) < len(b.Users)
-	}
-	return a.ID < b.ID
 }
 
 // LeastUsers assigns to the AP with the fewest associated users — the
@@ -67,8 +57,8 @@ func (LeastUsers) Select(_ wlan.Request, aps []wlan.APView) (trace.APID, error) 
 	}
 	best := aps[0]
 	for _, ap := range aps[1:] {
-		if len(ap.Users) < len(best.Users) ||
-			(len(ap.Users) == len(best.Users) && less(ap, best)) {
+		if ap.NumUsers < best.NumUsers ||
+			(ap.NumUsers == best.NumUsers && ap.LessLoaded(best)) {
 			best = ap
 		}
 	}

@@ -2,70 +2,119 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
-// friendMapIndex wraps mapIndex with precomputed close-friend lists,
-// satisfying FriendIndex at a given threshold.
-type friendMapIndex struct {
-	mapIndex
-	threshold float64
-	friends   map[trace.UserID][]trace.UserID
+// plainIndex is a SocialIndex with no close-friend lists.
+type plainIndex func(u, v trace.UserID) float64
+
+func (f plainIndex) Index(u, v trace.UserID) float64 { return f(u, v) }
+
+// TestNewSelectorFriendSource: the selector needs close-friend lists at
+// its own edge threshold. A FriendIndex cut at another threshold, or an
+// index with no lists, is refused; a *society.Model gets its lists built.
+func TestNewSelectorFriendSource(t *testing.T) {
+	idx := mapIndex{pair("u", "w"): 0.9}
+	s, err := NewSelector(idx, SelectorConfig{EdgeThreshold: 0.3})
+	if err != nil || s.friends == nil {
+		t.Fatalf("matching threshold: %v", err)
+	}
+	if _, err := NewSelector(idx, SelectorConfig{EdgeThreshold: 0.5}); err == nil {
+		t.Error("mismatched threshold must be refused (rankings would diverge)")
+	}
+	if _, err := NewSelector(plainIndex(idx.Index), SelectorConfig{}); err == nil {
+		t.Error("an index without close-friend lists must be refused")
+	}
+	var nilModel *society.Model
+	if _, err := NewSelector(nilModel, SelectorConfig{}); err == nil {
+		t.Error("a nil model must be refused")
+	}
+	m := &society.Model{PairProb: map[society.Pair]float64{society.MakePair("u", "w"): 0.9}}
+	s, err = NewSelector(m, SelectorConfig{EdgeThreshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.friends.CloseFriends("u"); len(got) != 1 || got[0] != "w" {
+		t.Errorf("model close friends of u = %v, want [w]", got)
+	}
 }
 
-func newFriendMapIndex(idx mapIndex, threshold float64) *friendMapIndex {
-	f := &friendMapIndex{mapIndex: idx, threshold: threshold, friends: map[trace.UserID][]trace.UserID{}}
-	for p, w := range idx {
-		if w > threshold {
-			f.friends[p[0]] = append(f.friends[p[0]], p[1])
-			f.friends[p[1]] = append(f.friends[p[1]], p[0])
+// scanSelect is the Index-scan oracle: S³'s single-arrival ranking
+// computed by evaluating θ against every resident of every AP, as the
+// selector did before it looked friends up in the placement table.
+// Residents without a listed demand count one requester-demand unit.
+func scanSelect(idx SocialIndex, threshold, balanceGuard float64, req wlan.Request, aps []wlan.APView) trace.APID {
+	unit := req.DemandBps
+	if unit <= 0 {
+		unit = 1
+	}
+	minLoad, total := math.Inf(1), 0.0
+	for _, ap := range aps {
+		total += ap.LoadBps
+		minLoad = math.Min(minLoad, ap.LoadBps)
+	}
+	guard := minLoad + balanceGuard*(total/float64(len(aps))+req.DemandBps)
+	less := func(a, b wlan.APView) bool {
+		if a.LoadBps != b.LoadBps {
+			return a.LoadBps < b.LoadBps
+		}
+		if len(a.Users) != len(b.Users) {
+			return len(a.Users) < len(b.Users)
+		}
+		return a.ID < b.ID
+	}
+	best, bestFriends, feas := -1, 0, -1
+	for i, ap := range aps {
+		if !ap.HasCapacityFor(req.DemandBps) {
+			continue
+		}
+		if feas < 0 || less(ap, aps[feas]) {
+			feas = i
+		}
+		if ap.LoadBps > guard {
+			continue
+		}
+		var load float64
+		for k, w := range ap.Users {
+			if idx.Index(req.User, w) <= threshold {
+				continue
+			}
+			if k < len(ap.UserDemands) {
+				load += ap.UserDemands[k]
+			} else {
+				load += unit
+			}
+		}
+		friends := int(math.Floor(load / unit))
+		if best < 0 || friends < bestFriends || (friends == bestFriends && less(ap, aps[best])) {
+			best, bestFriends = i, friends
 		}
 	}
-	for u := range f.friends {
-		fs := f.friends[u]
-		sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
+	switch {
+	case best >= 0:
+		return aps[best].ID
+	case feas >= 0:
+		return aps[feas].ID
 	}
-	return f
+	least := 0
+	for i := range aps {
+		if less(aps[i], aps[least]) {
+			least = i
+		}
+	}
+	return aps[least].ID
 }
 
-func (f *friendMapIndex) CloseFriends(u trace.UserID) []trace.UserID { return f.friends[u] }
-func (f *friendMapIndex) FriendThreshold() float64                   { return f.threshold }
-
-// TestFriendFastPathEnablement: the merge fast path engages only when
-// the index is a FriendIndex whose threshold matches the selector's.
-func TestFriendFastPathEnablement(t *testing.T) {
-	idx := newFriendMapIndex(mapIndex{pair("u", "w"): 0.9}, 0.3)
-	s, err := NewSelector(idx, SelectorConfig{EdgeThreshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.friends == nil {
-		t.Error("matching threshold: fast path not enabled")
-	}
-	s, err = NewSelector(idx, SelectorConfig{EdgeThreshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.friends != nil {
-		t.Error("mismatched threshold: fast path must stay off (rankings would diverge)")
-	}
-	s, err = NewSelector(idx.mapIndex, SelectorConfig{EdgeThreshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.friends != nil {
-		t.Error("plain SocialIndex: fast path must stay off")
-	}
-}
-
-// TestFriendFastPathParity: with and without the precomputed friend
-// lists, Select must return the identical AP for randomized view sets —
-// the merge is an optimization, never a ranking change.
+// TestFriendFastPathParity: looking friends up in the placement table
+// must return the identical AP the Index-scan oracle picks, for
+// randomized memberships, loads and demands.
 func TestFriendFastPathParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	users := make([]trace.UserID, 24)
@@ -80,25 +129,18 @@ func TestFriendFastPathParity(t *testing.T) {
 			}
 		}
 	}
-	fidx := newFriendMapIndex(idx, 0.3)
-	fast, err := NewSelector(fidx, SelectorConfig{EdgeThreshold: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.friends == nil {
-		t.Fatal("fast path not enabled")
-	}
-	slow, err := NewSelector(idx, SelectorConfig{EdgeThreshold: 0.3})
+	cfg := DefaultSelectorConfig()
+	sel, err := NewSelector(idx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for trial := 0; trial < 200; trial++ {
 		nAPs := 2 + rng.Intn(5)
-		aps := make([]wlan.APView, nAPs)
+		fixtures := make([]wlan.APView, nAPs)
 		perm := rng.Perm(len(users))
 		at := 0
-		for i := range aps {
+		for i := range fixtures {
 			n := rng.Intn(6)
 			var members []trace.UserID
 			for k := 0; k < n && at < len(perm); k++ {
@@ -106,19 +148,26 @@ func TestFriendFastPathParity(t *testing.T) {
 				at++
 			}
 			sort.Slice(members, func(a, b int) bool { return members[a] < members[b] })
-			aps[i] = wlan.APView{
+			demands := make([]float64, len(members))
+			for k := range demands {
+				demands[k] = float64(1 + rng.Intn(100))
+			}
+			fixtures[i] = wlan.APView{
 				ID:          trace.APID(fmt.Sprintf("ap%d", i)),
 				CapacityBps: 1e6,
 				LoadBps:     float64(rng.Intn(500)),
 				Users:       members,
+				UserDemands: demands,
 			}
 		}
 		req := wlan.Request{User: users[rng.Intn(len(users))], DemandBps: float64(1 + rng.Intn(100))}
-		a, errA := fast.Select(req, aps)
-		b, errB := slow.Select(req, aps)
-		if (errA == nil) != (errB == nil) || a != b {
-			t.Fatalf("trial %d: fast = %v (%v), slow = %v (%v)\nreq %+v\naps %+v",
-				trial, a, errA, b, errB, req, aps)
+		want := scanSelect(idx, cfg.EdgeThreshold, cfg.BalanceGuard, req, fixtures)
+		aps, dom := seeded(t, req.DemandBps, fixtures)
+		req.Placements = dom
+		got, err := sel.Select(req, aps)
+		if err != nil || got != want {
+			t.Fatalf("trial %d: placement lookup = %v (%v), Index-scan oracle = %v\nreq %+v\naps %+v",
+				trial, got, err, want, req, fixtures)
 		}
 	}
 }

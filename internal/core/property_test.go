@@ -39,8 +39,7 @@ func TestSelectNeverViolatesCapacityWhenFeasible(t *testing.T) {
 		}
 		nAPs := 2 + rng.Intn(5)
 		demand := 1 + rng.Float64()*100
-		aps := make([]wlan.APView, 0, nAPs)
-		anyFeasible := false
+		fixtures := make([]wlan.APView, 0, nAPs)
 		for i := 0; i < nAPs; i++ {
 			capacity := rng.Float64() * 300
 			load := rng.Float64() * capacity
@@ -50,19 +49,22 @@ func TestSelectNeverViolatesCapacityWhenFeasible(t *testing.T) {
 				users = append(users, universe[rng.Intn(len(universe))])
 				demands = append(demands, rng.Float64()*50)
 			}
-			ap := wlan.APView{
+			fixtures = append(fixtures, wlan.APView{
 				ID:          trace.APID(fmt.Sprintf("ap%d", i)),
 				CapacityBps: capacity,
 				LoadBps:     load,
 				Users:       users,
 				UserDemands: demands,
-			}
+			})
+		}
+		aps, dom := seeded(t, demand, fixtures)
+		anyFeasible := false
+		for _, ap := range aps {
 			if ap.HasCapacityFor(demand) {
 				anyFeasible = true
 			}
-			aps = append(aps, ap)
 		}
-		req := wlan.Request{User: universe[rng.Intn(len(universe))], DemandBps: demand}
+		req := wlan.Request{User: universe[rng.Intn(len(universe))], DemandBps: demand, Placements: dom}
 		got, err := s.Select(req, aps)
 		if err != nil {
 			return false
@@ -140,12 +142,12 @@ func TestSelectDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
+	aps, dom := seeded(t, 3, []wlan.APView{
 		{ID: "x", LoadBps: 5, Users: []trace.UserID{"b"}},
 		{ID: "y", LoadBps: 7, Users: []trace.UserID{"c"}},
 		{ID: "z", LoadBps: 9},
-	}
-	req := wlan.Request{User: "a", DemandBps: 3}
+	})
+	req := wlan.Request{User: "a", DemandBps: 3, Placements: dom}
 	first, err := s.Select(req, aps)
 	if err != nil {
 		t.Fatal(err)

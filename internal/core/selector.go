@@ -1,15 +1,20 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
+	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/metrics"
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/socialgraph"
+	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -38,9 +43,9 @@ type SocialIndex interface {
 // CloseFriends(u) returns, sorted and read-only, exactly the users v
 // with θ(u,v) > FriendThreshold(). The incremental engine
 // (society/incremental) satisfies it from the θ-graph it already
-// maintains. A selector whose EdgeThreshold matches FriendThreshold
-// computes friend-load buckets by merging two sorted lists instead of
-// evaluating Index against every user on every candidate AP.
+// maintains; society.FriendLists satisfies it for a batch model. The
+// selector finds friend load by looking up where each close friend sits,
+// so a decision costs O(friends), not O(residents).
 type FriendIndex interface {
 	SocialIndex
 	CloseFriends(u trace.UserID) []trace.UserID
@@ -99,11 +104,7 @@ func (c SelectorConfig) withDefaults() SelectorConfig {
 // wlan.Selector (single arrivals) and wlan.BatchSelector (co-arriving
 // groups, Algorithm 1).
 type Selector struct {
-	social SocialIndex
-	// friends is non-nil when social also satisfies FriendIndex at the
-	// selector's own edge threshold — the precondition for the merge
-	// fast path to rank identically to the Index scan.
-	friends FriendIndex
+	friends FriendIndex // close-friend lists at cfg.EdgeThreshold
 	cfg     SelectorConfig
 }
 
@@ -112,17 +113,28 @@ var (
 	_ wlan.BatchSelector = (*Selector)(nil)
 )
 
-// NewSelector builds an S³ selector over a trained sociality model.
-// When the index also satisfies FriendIndex and its threshold matches
-// the selector's EdgeThreshold, Select uses the precomputed close-friend
-// lists instead of rescanning every AP's users with Index.
+// NewSelector builds an S³ selector over a sociality index. A
+// *society.Model gets its close-friend lists built once, at the
+// selector's EdgeThreshold; any other index must be a FriendIndex at
+// that threshold.
 func NewSelector(social SocialIndex, cfg SelectorConfig) (*Selector, error) {
-	if social == nil {
+	cfg = cfg.withDefaults()
+	s := &Selector{cfg: cfg}
+	switch si := social.(type) {
+	case nil:
 		return nil, errors.New("core: nil social index")
-	}
-	s := &Selector{social: social, cfg: cfg.withDefaults()}
-	if fi, ok := social.(FriendIndex); ok && fi.FriendThreshold() == s.cfg.EdgeThreshold {
-		s.friends = fi
+	case *society.Model:
+		if si == nil {
+			return nil, errors.New("core: nil social index")
+		}
+		s.friends = si.FriendLists(cfg.EdgeThreshold)
+	case FriendIndex:
+		if thr := si.FriendThreshold(); thr != cfg.EdgeThreshold {
+			return nil, fmt.Errorf("core: friend lists are cut at θ > %v, the selector at %v", thr, cfg.EdgeThreshold)
+		}
+		s.friends = si
+	default:
+		return nil, fmt.Errorf("core: social index %T has no close-friend lists", social)
 	}
 	return s, nil
 }
@@ -133,25 +145,9 @@ func (s *Selector) Name() string { return "S3" }
 // ErrNoAPs is returned when Select is called with no candidates.
 var ErrNoAPs = errors.New("core: no candidate APs")
 
-// cost returns C(AP) = Σ_{w∈S(AP)} θ(u,w) over the AP's users with a
-// *close* social relationship to u (θ above the edge threshold, the
-// paper's 0.3 cut for recognizing real relationships), or +Inf when the
-// bandwidth constraint Σw(u) ≤ W(i) would be violated. Sub-threshold θ —
-// mostly the dense α·T type prior every profiled pair carries — is noise
-// for placement: counting it would turn C into a user-count proxy and
-// override the load-aware LLF tie-break the pseudocode prescribes.
-func (s *Selector) cost(u trace.UserID, demand float64, ap wlan.APView) float64 {
-	if !ap.HasCapacityFor(demand) {
-		return math.Inf(1)
-	}
-	var c float64
-	for _, w := range ap.Users {
-		if theta := s.social.Index(u, w); theta > s.cfg.EdgeThreshold {
-			c += theta
-		}
-	}
-	return c
-}
+// seatPool recycles the friend-seat buffers of Select, so a steady-state
+// decision allocates nothing.
+var seatPool = sync.Pool{New: func() any { return new([]domain.Seat) }}
 
 // Select implements wlan.Selector: pick the feasible AP that minimizes
 // the social-cost increment, then fall back to least-loaded-first, per
@@ -185,30 +181,40 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 	}
 	guard := minLoad + s.cfg.BalanceGuard*(totalLoad/float64(len(aps))+req.DemandBps)
 
+	// Where the requester's close friends sit, in ascending friend
+	// order: one placement lookup per friend, not a scan of residents.
+	buf := seatPool.Get().(*[]domain.Seat)
+	seats := (*buf)[:0]
+	if req.Placements != nil {
+		for _, f := range s.friends.CloseFriends(req.User) {
+			seats = req.Placements.AppendSeats(seats, f)
+		}
+	}
+
 	// Single pass, no candidate slices: track the best guarded candidate
-	// (friend buckets are computed only for those), the least-loaded
-	// feasible AP and — implicitly, via leastLoaded — the least-loaded AP
-	// overall for the two fallbacks. Replacement is strict (cand.less /
-	// apLess), so ties resolve to the earliest AP exactly as the former
-	// slice-then-scan ranking did.
-	bestIdx, feasIdx := -1, -1
-	var bestRank rankedAP
+	// (friend buckets are computed only for those) and the least-loaded
+	// feasible AP for the fallback. Replacement is strict, so ties
+	// resolve to the earliest AP.
+	bestIdx, feasIdx, bestFriends := -1, -1, 0
 	for i := range aps {
 		ap := &aps[i]
 		if !ap.HasCapacityFor(req.DemandBps) {
 			continue
 		}
-		if feasIdx < 0 || apLess(*ap, aps[feasIdx]) {
+		if feasIdx < 0 || ap.LessLoaded(aps[feasIdx]) {
 			feasIdx = i
 		}
 		if ap.LoadBps > guard {
 			continue
 		}
-		cand := rankedAP{ap: *ap, friends: s.friendLoadBuckets(req, *ap)}
-		if bestIdx < 0 || cand.less(bestRank) {
-			bestIdx, bestRank = i, cand
+		friends := friendBuckets(req.DemandBps, seats, ap.ID)
+		if bestIdx < 0 || friends < bestFriends ||
+			(friends == bestFriends && ap.LessLoaded(aps[bestIdx])) {
+			bestIdx, bestFriends = i, friends
 		}
 	}
+	*buf = seats
+	seatPool.Put(buf)
 	if bestIdx >= 0 {
 		return aps[bestIdx].ID, nil
 	}
@@ -219,95 +225,34 @@ func (s *Selector) Select(req wlan.Request, aps []wlan.APView) (trace.APID, erro
 	if feasIdx >= 0 {
 		return aps[feasIdx].ID, nil
 	}
-	return leastLoaded(aps), nil
+	best := 0
+	for i := range aps {
+		if aps[i].LessLoaded(aps[best]) {
+			best = i
+		}
+	}
+	return aps[best].ID, nil
 }
 
-// friendLoadBuckets measures how much co-leaving load already sits on the
-// AP from the requester's perspective: the summed believed demand of the
-// AP's users with a close (θ > threshold) relationship to the requester,
-// quantized in units of the requester's own demand. Quantizing keeps the
-// comparison meaningful — differences smaller than one user's demand are
-// noise and must not override the LLF tie-break. When the caller supplies
-// no per-user demands each friend counts as one requester-demand unit,
-// reducing to a friend count.
-func (s *Selector) friendLoadBuckets(req wlan.Request, ap wlan.APView) int {
-	unit := req.DemandBps
+// friendBuckets measures how much co-leaving load already sits on ap
+// from the requester's perspective: the summed believed demand of the
+// requester's close friends seated there, quantized in units of the
+// requester's own demand. Quantizing keeps the comparison meaningful —
+// differences smaller than one user's demand are noise and must not
+// override the LLF tie-break. seats are the friends' seats in ascending
+// friend order, so the sum adds in the same order on every run.
+func friendBuckets(demandBps float64, seats []domain.Seat, ap trace.APID) int {
+	unit := demandBps
 	if unit <= 0 {
 		unit = 1
 	}
 	var friendLoad float64
-	if s.friends != nil {
-		// Fast path: ap.Users and the close-friend list are both sorted,
-		// so their intersection is one merge — no Index call per user.
-		// CloseFriends lists exactly the θ > threshold partners, and never
-		// the requester (the θ-graph has no self-edges), matching the
-		// Index-scan semantics below.
-		fs := s.friends.CloseFriends(req.User)
-		i, j := 0, 0
-		for i < len(ap.Users) && j < len(fs) {
-			switch {
-			case ap.Users[i] < fs[j]:
-				i++
-			case ap.Users[i] > fs[j]:
-				j++
-			default:
-				if i < len(ap.UserDemands) {
-					friendLoad += ap.UserDemands[i]
-				} else {
-					friendLoad += unit
-				}
-				i++
-				j++
-			}
-		}
-		return int(math.Floor(friendLoad / unit))
-	}
-	for i, w := range ap.Users {
-		if s.social.Index(req.User, w) <= s.cfg.EdgeThreshold {
-			continue
-		}
-		if i < len(ap.UserDemands) {
-			friendLoad += ap.UserDemands[i]
-		} else {
-			friendLoad += unit
+	for _, st := range seats {
+		if st.AP == ap {
+			friendLoad += st.DemandBps
 		}
 	}
 	return int(math.Floor(friendLoad / unit))
-}
-
-// rankedAP is an online-selection candidate.
-type rankedAP struct {
-	ap      wlan.APView
-	friends int
-}
-
-// less orders candidates by (friend count, load, users, ID) — the
-// lexicographic ranking documented on Select.
-func (a rankedAP) less(b rankedAP) bool {
-	if a.friends != b.friends {
-		return a.friends < b.friends
-	}
-	return apLess(a.ap, b.ap)
-}
-
-func apLess(a, b wlan.APView) bool {
-	if a.LoadBps != b.LoadBps {
-		return a.LoadBps < b.LoadBps
-	}
-	if len(a.Users) != len(b.Users) {
-		return len(a.Users) < len(b.Users)
-	}
-	return a.ID < b.ID
-}
-
-func leastLoaded(aps []wlan.APView) trace.APID {
-	best := aps[0]
-	for _, ap := range aps[1:] {
-		if apLess(ap, best) {
-			best = ap
-		}
-	}
-	return best.ID
 }
 
 // SelectBatch implements Algorithm 1 for a group of simultaneous
@@ -320,7 +265,8 @@ func leastLoaded(aps []wlan.APView) trace.APID {
 //  3. For each clique, search candidate distributions of its members to
 //     APs, rank by ΣᵢC(APᵢ), keep the top TopFraction, and choose the one
 //     whose projected load vector has the best balance index.
-//  4. Update the (projected) AP states and continue until G is empty.
+//  4. Update the projected AP state — loads plus an overlay of the batch
+//     placements made so far — and continue until G is empty.
 func (s *Selector) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[trace.UserID]trace.APID, error) {
 	if len(aps) == 0 {
 		return nil, ErrNoAPs
@@ -333,48 +279,94 @@ func (s *Selector) SelectBatch(reqs []wlan.Request, aps []wlan.APView) (map[trac
 	batchStart := time.Now()
 	defer func() { obsBatchTime.Observe(time.Since(batchStart)) }()
 
-	demands := make(map[trace.UserID]float64, len(reqs))
+	apIdx := make(map[trace.APID]int, len(aps))
+	for i, ap := range aps {
+		apIdx[ap.ID] = i
+	}
+	b := &batch{
+		demands:  make(map[trace.UserID]float64, len(reqs)),
+		resident: make(map[trace.UserID][]float64, len(reqs)),
+		onAP:     make([][]trace.UserID, len(aps)),
+		state:    append([]wlan.APView(nil), aps...),
+	}
 	users := make([]trace.UserID, 0, len(reqs))
 	for _, r := range reqs {
-		if _, dup := demands[r.User]; dup {
+		if _, dup := b.demands[r.User]; dup {
 			return nil, fmt.Errorf("core: duplicate user %q in batch", r.User)
 		}
-		demands[r.User] = r.DemandBps
+		b.demands[r.User] = r.DemandBps
+		b.resident[r.User] = s.residentCost(r, apIdx)
 		users = append(users, r.User)
 	}
 	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
 
-	g := socialgraph.FromThreshold(users, s.cfg.EdgeThreshold, s.social.Index)
+	g := socialgraph.FromThreshold(users, s.cfg.EdgeThreshold, s.friends.Index)
 	cover := socialgraph.ExtractCliqueCover(g)
-
-	// Projected AP state, updated as cliques are placed.
-	state := make([]wlan.APView, len(aps))
-	copy(state, aps)
-	for i := range state {
-		state[i].Users = append([]trace.UserID(nil), aps[i].Users...)
-	}
 
 	obsCliques.Add(int64(len(cover)))
 	out := make(map[trace.UserID]trace.APID, len(users))
 	for _, clique := range cover {
-		assignment, err := s.placeClique(clique, demands, state)
+		members, assign, err := s.placeClique(clique, b)
 		if err != nil {
 			return nil, err
 		}
-		for u, apIdx := range assignment {
-			out[u] = state[apIdx].ID
-			state[apIdx].LoadBps += demands[u]
-			state[apIdx].Users = append(state[apIdx].Users, u)
+		for i, u := range members {
+			at := assign[i]
+			out[u] = b.state[at].ID
+			b.state[at].LoadBps += b.demands[u]
+			b.onAP[at] = append(b.onAP[at], u)
 		}
 	}
 	return out, nil
+}
+
+// batch is Algorithm 1's projected state: the views with loads updated
+// as cliques are placed, an overlay of the batch users placed on each AP
+// so far, and each member's social cost against the AP's residents.
+type batch struct {
+	demands  map[trace.UserID]float64
+	resident map[trace.UserID][]float64 // per AP index: Σθ over seated close friends
+	onAP     [][]trace.UserID           // batch users placed per AP, in order
+	state    []wlan.APView
+}
+
+// residentCost sums, per candidate AP, θ(u,f) over u's close friends f
+// seated there — the resident part of C(AP). Friends are visited in
+// ascending ID order, so every AP's sum adds in the same order.
+func (s *Selector) residentCost(r wlan.Request, apIdx map[trace.APID]int) []float64 {
+	cost := make([]float64, len(apIdx))
+	if r.Placements == nil {
+		return cost
+	}
+	var seats []domain.Seat
+	for _, f := range s.friends.CloseFriends(r.User) {
+		seats = r.Placements.AppendSeats(seats[:0], f)
+		for _, st := range seats {
+			if i, ok := apIdx[st.AP]; ok {
+				cost[i] += s.friends.Index(r.User, f)
+			}
+		}
+	}
+	return cost
+}
+
+// closeTheta returns θ(u,w) when the pair is a close relationship (θ
+// above the edge threshold, the paper's 0.3 cut), else 0. Sub-threshold
+// θ — mostly the dense α·T type prior every profiled pair carries — is
+// noise for placement: counting it would turn C into a user-count proxy
+// and override the load-aware LLF tie-break the pseudocode prescribes.
+func (s *Selector) closeTheta(u, w trace.UserID) float64 {
+	if theta := s.friends.Index(u, w); theta > s.cfg.EdgeThreshold {
+		return theta
+	}
+	return 0
 }
 
 // beamCandidate is a partial distribution of a clique's members to APs.
 type beamCandidate struct {
 	assign []int   // assign[i] = AP index of clique member i
 	cost   float64 // accumulated ΣC increment
-	used   map[int]int
+	used   []int   // used[j] = members placed on AP index j
 }
 
 // exhaustiveLimit caps the candidate-distribution count for which
@@ -382,32 +374,30 @@ type beamCandidate struct {
 // solution space of distribution users"); larger cliques use the beam.
 const exhaustiveLimit = 4096
 
-// placeClique searches distributions of the clique's members to APs.
-// Members of a clique are spread over distinct APs whenever the domain
-// has enough APs; otherwise AP reuse is minimized. Small cliques are
-// solved exhaustively; large ones by beam search over the lowest-ΣC
-// prefixes.
-func (s *Selector) placeClique(clique []trace.UserID,
-	demands map[trace.UserID]float64, state []wlan.APView) (map[trace.UserID]int, error) {
-
+// placeClique searches distributions of the clique's members to APs and
+// returns the members in placement order with their AP indices. Members
+// of a clique are spread over distinct APs whenever the domain has
+// enough APs; otherwise AP reuse is minimized. Small cliques are solved
+// exhaustively; large ones by beam search over the lowest-ΣC prefixes.
+func (s *Selector) placeClique(clique []trace.UserID, b *batch) ([]trace.UserID, []int, error) {
 	// Order members by demand (desc) so the beam places heavy users
 	// first; deterministic tie-break by ID.
 	members := append([]trace.UserID(nil), clique...)
 	sort.Slice(members, func(i, j int) bool {
-		di, dj := demands[members[i]], demands[members[j]]
+		di, dj := b.demands[members[i]], b.demands[members[j]]
 		if di != dj {
 			return di > dj
 		}
 		return members[i] < members[j]
 	})
 
-	maxPerAP := (len(members) + len(state) - 1) / len(state)
+	maxPerAP := (len(members) + len(b.state) - 1) / len(b.state)
 
 	// Exhaustive when the space is small: len(state)^len(members)
 	// candidates bounded by exhaustiveLimit. The beam search prunes to
 	// BeamWidth per level otherwise.
 	beamWidth := s.cfg.BeamWidth
-	if pow := intPow(len(state), len(members)); pow > 0 && pow <= exhaustiveLimit {
+	if pow := intPow(len(b.state), len(members)); pow > 0 && pow <= exhaustiveLimit {
 		beamWidth = pow
 		obsExhaustive.Inc()
 	}
@@ -417,18 +407,15 @@ func (s *Selector) placeClique(clique []trace.UserID,
 	var candsGenerated int64
 	defer func() { obsBeamCands.Add(candsGenerated) }()
 
-	beam := []beamCandidate{{assign: nil, cost: 0, used: map[int]int{}}}
+	beam := []beamCandidate{{used: make([]int, len(b.state))}}
 	for mi, u := range members {
 		var next []beamCandidate
 		for _, cand := range beam {
-			for apIdx, ap := range state {
+			for apIdx := range b.state {
 				if cand.used[apIdx] >= maxPerAP {
 					continue // keep clique members dispersed
 				}
-				// Project the AP's state after this candidate's earlier
-				// placements.
-				projected := s.projectView(ap, cand, members[:mi], demands, apIdx)
-				c := s.cost(u, demands[u], projected)
+				c := s.cost(u, mi, members, cand, apIdx, b)
 				if math.IsInf(c, 1) {
 					// Infeasible: heavily penalized but not discarded —
 					// every user must land somewhere.
@@ -437,7 +424,7 @@ func (s *Selector) placeClique(clique []trace.UserID,
 				nc := beamCandidate{
 					assign: append(append([]int(nil), cand.assign...), apIdx),
 					cost:   cand.cost + c,
-					used:   copyCounts(cand.used),
+					used:   append([]int(nil), cand.used...),
 				}
 				nc.used[apIdx]++
 				next = append(next, nc)
@@ -451,7 +438,7 @@ func (s *Selector) placeClique(clique []trace.UserID,
 		beam = next
 	}
 	if len(beam) == 0 {
-		return nil, fmt.Errorf("core: no distribution found for clique of %d", len(clique))
+		return nil, nil, fmt.Errorf("core: no distribution found for clique of %d", len(clique))
 	}
 
 	// Keep the top TopFraction by cost — tie-inclusive, so equal-cost
@@ -467,35 +454,40 @@ func (s *Selector) placeClique(clique []trace.UserID,
 	finalists := beam[:keep]
 	bestIdx, bestBeta := 0, -1.0
 	for i, cand := range finalists {
-		beta := s.projectedBalance(cand, members, demands, state)
+		beta := s.projectedBalance(cand, members, b.demands, b.state)
 		if beta > bestBeta {
 			bestIdx, bestBeta = i, beta
 		}
 	}
-	chosen := finalists[bestIdx]
-	out := make(map[trace.UserID]int, len(members))
-	for i, u := range members {
-		out[u] = chosen.assign[i]
-	}
-	return out, nil
+	return members, finalists[bestIdx].assign, nil
 }
 
-// projectView returns ap with the candidate's earlier same-AP placements
-// folded in, so cost sees intra-clique θ too.
-func (s *Selector) projectView(ap wlan.APView, cand beamCandidate,
-	placed []trace.UserID, demands map[trace.UserID]float64, apIdx int) wlan.APView {
-	if cand.used[apIdx] == 0 {
-		return ap
-	}
-	view := ap
-	view.Users = append([]trace.UserID(nil), ap.Users...)
-	for i, u := range placed {
+// cost returns C(AP) = Σ_{w∈S(AP)} θ(u,w) for placing members[mi] on
+// apIdx under the candidate's earlier placements: the seated close
+// friends, then the batch users placed there by earlier cliques, then
+// the candidate's own earlier members there. It is +Inf when the
+// bandwidth constraint Σw(u) ≤ W(i) would be violated.
+func (s *Selector) cost(u trace.UserID, mi int, members []trace.UserID,
+	cand beamCandidate, apIdx int, b *batch) float64 {
+	load := b.state[apIdx].LoadBps
+	for i, w := range members[:mi] {
 		if cand.assign[i] == apIdx {
-			view.Users = append(view.Users, u)
-			view.LoadBps += demands[u]
+			load += b.demands[w]
 		}
 	}
-	return view
+	if !domain.Admits(b.state[apIdx].CapacityBps, load, b.demands[u]) {
+		return math.Inf(1)
+	}
+	c := b.resident[u][apIdx]
+	for _, w := range b.onAP[apIdx] {
+		c += s.closeTheta(u, w)
+	}
+	for i, w := range members[:mi] {
+		if cand.assign[i] == apIdx {
+			c += s.closeTheta(u, w)
+		}
+	}
+	return c
 }
 
 // projectedBalance computes the normalized balance index of the AP load
@@ -530,26 +522,13 @@ func intPow(base, exp int) int {
 	return result
 }
 
-func copyCounts(m map[int]int) map[int]int {
-	out := make(map[int]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
+// sortCandidates orders candidates by cost, then lexicographically by
+// assignment — a total order, so the beam is deterministic.
 func sortCandidates(cands []beamCandidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].cost != cands[j].cost {
-			return cands[i].cost < cands[j].cost
+	slices.SortFunc(cands, func(a, b beamCandidate) int {
+		if c := cmp.Compare(a.cost, b.cost); c != 0 {
+			return c
 		}
-		// Deterministic order among equal costs.
-		a, b := cands[i].assign, cands[j].assign
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
+		return slices.Compare(a.assign, b.assign)
 	})
 }

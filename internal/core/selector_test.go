@@ -1,13 +1,16 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
+	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
-// mapIndex is a test SocialIndex backed by a symmetric map.
+// mapIndex is a test FriendIndex backed by a symmetric map, listing
+// close friends at the default edge threshold.
 type mapIndex map[[2]trace.UserID]float64
 
 func (m mapIndex) Index(u, v trace.UserID) float64 {
@@ -15,6 +18,48 @@ func (m mapIndex) Index(u, v trace.UserID) float64 {
 		u, v = v, u
 	}
 	return m[[2]trace.UserID{u, v}]
+}
+
+func (m mapIndex) FriendThreshold() float64 { return DefaultSelectorConfig().EdgeThreshold }
+
+func (m mapIndex) CloseFriends(u trace.UserID) []trace.UserID {
+	var fs []trace.UserID
+	for p := range m {
+		for i, v := range p {
+			if v == u && p[1-i] != u && m.Index(u, p[1-i]) > m.FriendThreshold() {
+				fs = append(fs, p[1-i])
+			}
+		}
+	}
+	sort.Slice(fs, func(i, j int) bool { return fs[i] < fs[j] })
+	return fs
+}
+
+// seeded installs fixture views in a real domain and returns the views
+// the domain hands a policy, plus the domain as the placement lookup.
+// Each fixture's LoadBps becomes its reported load (LoadReported mode),
+// so the views carry exactly the fixture loads. Fixture Users are seated
+// with their UserDemands, or with unit demand where none is given.
+func seeded(t testing.TB, unit float64, fixtures []wlan.APView) ([]wlan.APView, *domain.Domain) {
+	t.Helper()
+	d := domain.New(domain.Config{Mode: domain.LoadReported})
+	for _, f := range fixtures {
+		if err := d.AddAP(f.ID, f.CapacityBps); err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range f.Users {
+			demand := unit
+			if i < len(f.UserDemands) {
+				demand = f.UserDemands[i]
+			}
+			if _, err := d.Commit([]domain.Placement{{User: u, AP: f.ID, DemandBps: demand}}, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.SetReported(f.ID, f.LoadBps)
+	}
+	views, _ := d.Views("")
+	return views, d
 }
 
 func pair(u, v trace.UserID) [2]trace.UserID {
@@ -49,11 +94,11 @@ func TestSelectAvoidsSocialFriends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
+	aps, dom := seeded(t, 5, []wlan.APView{
 		{ID: "ap1", LoadBps: 10, Users: []trace.UserID{"w"}},
 		{ID: "ap2", LoadBps: 20, Users: []trace.UserID{"x"}},
-	}
-	got, err := s.Select(wlan.Request{User: "u", DemandBps: 5}, aps)
+	})
+	got, err := s.Select(wlan.Request{User: "u", DemandBps: 5, Placements: dom}, aps)
 	if err != nil || got != "ap2" {
 		t.Errorf("Select = %v, %v; want ap2", got, err)
 	}
@@ -67,11 +112,11 @@ func TestSelectBalanceGuardOverridesSociality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
+	aps, dom := seeded(t, 5, []wlan.APView{
 		{ID: "ap1", LoadBps: 10, Users: []trace.UserID{"w"}},
 		{ID: "ap2", LoadBps: 500, Users: []trace.UserID{"x"}},
-	}
-	got, err := s.Select(wlan.Request{User: "u", DemandBps: 5}, aps)
+	})
+	got, err := s.Select(wlan.Request{User: "u", DemandBps: 5, Placements: dom}, aps)
 	if err != nil || got != "ap1" {
 		t.Errorf("Select = %v, %v; want ap1 (guard)", got, err)
 	}
@@ -82,12 +127,12 @@ func TestSelectFallsBackToLLFOnTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
+	aps, dom := seeded(t, 1, []wlan.APView{
 		{ID: "ap1", LoadBps: 100, Users: []trace.UserID{"a"}},
 		{ID: "ap2", LoadBps: 10, Users: []trace.UserID{"b"}},
-	}
+	})
 	// No social ties anywhere: both costs 0, LLF picks ap2.
-	got, err := s.Select(wlan.Request{User: "u"}, aps)
+	got, err := s.Select(wlan.Request{User: "u", Placements: dom}, aps)
 	if err != nil || got != "ap2" {
 		t.Errorf("Select = %v, %v; want ap2 (LLF fallback)", got, err)
 	}
@@ -99,13 +144,13 @@ func TestSelectRespectsCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aps := []wlan.APView{
+	aps, dom := seeded(t, 50, []wlan.APView{
 		// Socially free but full.
 		{ID: "full", CapacityBps: 100, LoadBps: 99, Users: []trace.UserID{"x"}},
 		// Has the friend but has room.
 		{ID: "roomy", CapacityBps: 100, LoadBps: 10, Users: []trace.UserID{"w"}},
-	}
-	got, err := s.Select(wlan.Request{User: "u", DemandBps: 50}, aps)
+	})
+	got, err := s.Select(wlan.Request{User: "u", DemandBps: 50, Placements: dom}, aps)
 	if err != nil || got != "roomy" {
 		t.Errorf("Select = %v, %v; want roomy (capacity constraint)", got, err)
 	}
@@ -331,5 +376,30 @@ func TestSelectBatchExhaustiveMatchesWideBeam(t *testing.T) {
 		if got2[u] != ap {
 			t.Errorf("user %s: exhaustive %v vs wide beam %v", u, ap, got2[u])
 		}
+	}
+}
+
+func TestSelectBatchAvoidsSeatedFriends(t *testing.T) {
+	// a's close friend w is seated on ap1 and b's close friend x on ap2;
+	// a and b are strangers, so the batch places each away from the
+	// resident friend, though the loads alone cannot tell the APs apart.
+	idx := mapIndex{pair("a", "w"): 0.9, pair("b", "x"): 0.9}
+	s, err := NewSelector(idx, SelectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aps, dom := seeded(t, 10, []wlan.APView{
+		{ID: "ap1", LoadBps: 10, Users: []trace.UserID{"w"}},
+		{ID: "ap2", LoadBps: 10, Users: []trace.UserID{"x"}},
+	})
+	got, err := s.SelectBatch([]wlan.Request{
+		{User: "a", DemandBps: 10, Placements: dom},
+		{User: "b", DemandBps: 10, Placements: dom},
+	}, aps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["a"] != "ap2" || got["b"] != "ap1" {
+		t.Errorf("placement = %v, want a on ap2 and b on ap1", got)
 	}
 }

@@ -3,6 +3,15 @@
 // accounting, capacity admission, view snapshotting for association
 // policies, versioned check-and-retry commits, and session-log emission.
 //
+// # Placement table
+//
+// Who sits where is stored once, in a user → seats table; a seat is an
+// AP plus the believed demand held there. APs keep aggregates only, so
+// a view copies O(APs) values whatever the resident count, and Commit,
+// Leave and LeaveAll are O(1) table updates. Policies ask AppendSeats
+// where a given user sits; Info, ExportState and the evictions derive
+// membership from the table in one pass, sorted by user ID.
+//
 // Both execution paths are thin drivers over it — the batch simulator
 // (internal/wlan) replays a trace through a Domain per controller, and
 // the live TCP controller (internal/protocol) serves stations from one —
@@ -43,4 +52,6 @@
 // serialized per shard, so staleness can cost decision optimality but
 // never state consistency — the same contract the live controller has
 // always documented for its retry loop.
+// Friend lookups through AppendSeats read live placements, outside the
+// version vector, under the same contract.
 package domain

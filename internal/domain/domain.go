@@ -1,10 +1,13 @@
 package domain
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -58,7 +61,9 @@ const (
 
 // APView is a policy's read-only view of one AP's live state. Both the
 // batch simulator and the live controller hand policies exactly this
-// (internal/wlan aliases the type), assembled by Domain.Views.
+// (internal/wlan aliases the type), assembled by Domain.Views. A view
+// carries aggregates only; who sits where is read through AppendSeats,
+// one user at a time.
 type APView struct {
 	// ID identifies the AP.
 	ID trace.APID
@@ -67,16 +72,29 @@ type APView struct {
 	// LoadBps is the AP's traffic load as selected by the domain's
 	// LoadMode (believed demand sum, last report, or their max).
 	LoadBps float64
-	// Users are the currently associated users (sorted).
-	Users []trace.UserID
-	// UserDemands[i] is the believed demand (bytes/second) of Users[i].
-	// May be nil when the caller does not track per-user demand;
-	// consumers must guard their indexing.
+	// Users and UserDemands are always nil: views carry no membership.
+	// Use NumUsers, and AppendSeats for who sits where.
+	Users       []trace.UserID
 	UserDemands []float64
+	// NumUsers is the number of users holding a seat on the AP.
+	NumUsers int
 	// RSSI is the received signal strength the requesting user sees for
 	// this AP, in dBm (higher is stronger). Synthesized via the domain's
 	// RSSI function; used by the strongest-signal baseline.
 	RSSI float64
+}
+
+// LessLoaded is the one load order every policy ranks by: lower load
+// first, then fewer users, then the smaller ID. LLF, LeastUsers' tie
+// break and S³'s least-loaded fallbacks all use it.
+func (v APView) LessLoaded(w APView) bool {
+	if v.LoadBps != w.LoadBps {
+		return v.LoadBps < w.LoadBps
+	}
+	if v.NumUsers != w.NumUsers {
+		return v.NumUsers < w.NumUsers
+	}
+	return v.ID < w.ID
 }
 
 // HasCapacityFor reports whether adding demand keeps the AP within its
@@ -170,6 +188,14 @@ type Eviction struct {
 	DemandBps float64
 }
 
+// Seat is one place a user sits: an AP and the believed demand held
+// there. Only the simulator's multi-session semantics give a user more
+// than one; concurrent sessions on one AP share one seat.
+type Seat struct {
+	AP        trace.APID
+	DemandBps float64
+}
+
 // APInfo is one AP's externally visible state (Snapshot/inspection).
 type APInfo struct {
 	CapacityBps float64
@@ -202,53 +228,15 @@ type Config struct {
 	ObsName string
 }
 
-// apState is one AP's accounting. users is the authoritative map;
-// sortedU/sortedD mirror it in sorted order and are maintained
-// incrementally at every mutation point, so view snapshots copy flat
-// arrays instead of re-sorting the membership on every policy decision.
+// apState is one AP's aggregates. Membership lives in the placement
+// table; numUsers counts the seats on this AP.
 type apState struct {
 	id          trace.APID
 	capacityBps float64
 	reportedBps float64
 	believedBps float64
-	users       map[trace.UserID]float64 // user -> believed demand
-	sortedU     []trace.UserID           // users, sorted ascending
-	sortedD     []float64                // sortedD[i] = users[sortedU[i]]
+	numUsers    int
 	failed      bool
-}
-
-// userIndex returns the sorted-slice position of u (or its insertion
-// point when absent).
-func (st *apState) userIndex(u trace.UserID) int {
-	return sort.Search(len(st.sortedU), func(i int) bool { return st.sortedU[i] >= u })
-}
-
-// bumpUser adds delta to u's believed demand, inserting u when new, and
-// keeps the sorted mirror current. Reports whether u was newly inserted.
-func (st *apState) bumpUser(u trace.UserID, delta float64) bool {
-	at := st.userIndex(u)
-	if at < len(st.sortedU) && st.sortedU[at] == u {
-		st.users[u] += delta
-		st.sortedD[at] = st.users[u]
-		return false
-	}
-	st.users[u] = delta
-	st.sortedU = append(st.sortedU, "")
-	copy(st.sortedU[at+1:], st.sortedU[at:])
-	st.sortedU[at] = u
-	st.sortedD = append(st.sortedD, 0)
-	copy(st.sortedD[at+1:], st.sortedD[at:])
-	st.sortedD[at] = delta
-	return true
-}
-
-// dropUser removes u from the map and the sorted mirror.
-func (st *apState) dropUser(u trace.UserID) {
-	delete(st.users, u)
-	if at := st.userIndex(u); at < len(st.sortedU) && st.sortedU[at] == u {
-		st.sortedU = append(st.sortedU[:at], st.sortedU[at+1:]...)
-		st.sortedD = append(st.sortedD[:at], st.sortedD[at+1:]...)
-	}
 }
 
 // shard owns a partition of the AP set behind its own lock.
@@ -256,8 +244,7 @@ type shard struct {
 	mu      sync.RWMutex
 	version uint64
 	aps     map[trace.APID]*apState
-	ids     []trace.APID // sorted
-	entries int          // total user entries across the shard's APs
+	sorted  []*apState // aps, sorted by ID
 
 	gaugeAPs   *obs.Gauge // nil unless ObsName set
 	gaugeUsers *obs.Gauge
@@ -266,14 +253,89 @@ type shard struct {
 // syncGauges publishes the shard's sizes; must run with sh.mu held.
 func (sh *shard) syncGauges() {
 	if sh.gaugeAPs != nil {
-		sh.gaugeAPs.Set(int64(len(sh.ids)))
-		sh.gaugeUsers.Set(int64(sh.entries))
+		sh.gaugeAPs.Set(int64(len(sh.sorted)))
+		users := 0
+		for _, st := range sh.sorted {
+			users += st.numUsers
+		}
+		sh.gaugeUsers.Set(int64(users))
+	}
+}
+
+// index returns the position of id in sh.sorted (or its insertion point).
+func (sh *shard) index(id trace.APID) int {
+	at, _ := slices.BinarySearchFunc(sh.sorted, id, func(st *apState, id trace.APID) int { return cmp.Compare(st.id, id) })
+	return at
+}
+
+// seatStripe is one partition of the placement table, keyed by a stable
+// hash of the user ID. A seat is written only with its AP's shard lock
+// held too, so that lock freezes the AP's seats; lookups take only the
+// stripe lock.
+type seatStripe struct {
+	mu    sync.RWMutex
+	first map[trace.UserID]Seat
+	extra map[trace.UserID][]Seat // seats beyond the first (simulator only)
+}
+
+// find returns u's demand on ap.
+func (t *seatStripe) find(u trace.UserID, ap trace.APID) (float64, bool) {
+	if s, ok := t.first[u]; ok && s.AP == ap {
+		return s.DemandBps, true
+	}
+	for _, s := range t.extra[u] {
+		if s.AP == ap {
+			return s.DemandBps, true
+		}
+	}
+	return 0, false
+}
+
+// put sets u's demand on ap, adding the seat when u holds none there.
+func (t *seatStripe) put(u trace.UserID, ap trace.APID, demandBps float64) {
+	if s, ok := t.first[u]; !ok || s.AP == ap {
+		t.first[u] = Seat{AP: ap, DemandBps: demandBps}
+		return
+	}
+	more := t.extra[u]
+	for i := range more {
+		if more[i].AP == ap {
+			more[i].DemandBps = demandBps
+			return
+		}
+	}
+	t.extra[u] = append(more, Seat{AP: ap, DemandBps: demandBps})
+}
+
+// drop removes u's seat on ap, if any.
+func (t *seatStripe) drop(u trace.UserID, ap trace.APID) {
+	more := t.extra[u]
+	if t.first[u].AP == ap {
+		if len(more) == 0 {
+			delete(t.first, u)
+			return
+		}
+		t.first[u] = more[len(more)-1]
+		more = more[:len(more)-1]
+	}
+	for i := range more {
+		if more[i].AP == ap {
+			more[i] = more[len(more)-1]
+			more = more[:len(more)-1]
+			break
+		}
+	}
+	if len(more) == 0 {
+		delete(t.extra, u)
+	} else {
+		t.extra[u] = more
 	}
 }
 
 // Domain is the sharded association-domain state machine.
 type Domain struct {
 	shards []*shard
+	seats  []*seatStripe // the placement table, one stripe per shard
 	mode   LoadMode
 	rssi   func(trace.UserID, trace.APID) float64
 
@@ -293,6 +355,7 @@ func New(cfg Config) *Domain {
 	}
 	d := &Domain{
 		shards: make([]*shard, n),
+		seats:  make([]*seatStripe, n),
 		mode:   cfg.Mode,
 		rssi:   rssi,
 	}
@@ -308,6 +371,10 @@ func New(cfg Config) *Domain {
 				"Associated users on one domain shard")
 		}
 		d.shards[i] = sh
+		d.seats[i] = &seatStripe{
+			first: make(map[trace.UserID]Seat),
+			extra: make(map[trace.UserID][]Seat),
+		}
 	}
 	return d
 }
@@ -326,6 +393,27 @@ func (d *Domain) ShardOf(ap trace.APID) int {
 
 func (d *Domain) shardOf(ap trace.APID) *shard { return d.shards[d.ShardOf(ap)] }
 
+// stripeOf returns the placement-table stripe holding u's seats.
+func (d *Domain) stripeOf(u trace.UserID) *seatStripe {
+	if len(d.seats) == 1 {
+		return d.seats[0]
+	}
+	return d.seats[fnv32aString(uint32(fnvOffset32), string(u))%uint32(len(d.seats))]
+}
+
+// AppendSeats appends u's current seats to dst, allocating nothing when
+// dst has room. The read is live, not part of any view snapshot.
+func (d *Domain) AppendSeats(dst []Seat, u trace.UserID) []Seat {
+	t := d.stripeOf(u)
+	t.mu.RLock()
+	if s, ok := t.first[u]; ok {
+		dst = append(dst, s)
+		dst = append(dst, t.extra[u]...)
+	}
+	t.mu.RUnlock()
+	return dst
+}
+
 // AddAP registers an AP. Duplicate IDs error.
 func (d *Domain) AddAP(id trace.APID, capacityBps float64) error {
 	if id == "" {
@@ -337,72 +425,68 @@ func (d *Domain) AddAP(id trace.APID, capacityBps float64) error {
 	if _, dup := sh.aps[id]; dup {
 		return fmt.Errorf("domain: AP %q already registered", id)
 	}
-	sh.aps[id] = &apState{
-		id:          id,
-		capacityBps: capacityBps,
-		users:       make(map[trace.UserID]float64),
-	}
-	at := sort.Search(len(sh.ids), func(i int) bool { return sh.ids[i] >= id })
-	sh.ids = append(sh.ids, "")
-	copy(sh.ids[at+1:], sh.ids[at:])
-	sh.ids[at] = id
+	st := &apState{id: id, capacityBps: capacityBps}
+	sh.aps[id] = st
+	sh.sorted = slices.Insert(sh.sorted, sh.index(id), st)
 	sh.version++
 	sh.syncGauges()
 	return nil
 }
 
-// RemoveAP deletes an AP and returns its evicted users (sorted) for the
-// caller to re-home. ok is false when the AP is unknown.
-func (d *Domain) RemoveAP(id trace.APID) (evicted []Eviction, ok bool) {
+// withAP runs fn on AP id under its shard's write lock and reports
+// whether the AP is known.
+func (d *Domain) withAP(id trace.APID, fn func(sh *shard, st *apState)) bool {
 	sh := d.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st, ok := sh.aps[id]
-	if !ok {
-		return nil, false
+	if ok {
+		fn(sh, st)
 	}
-	evicted = drain(sh, st)
-	delete(sh.aps, id)
-	at := sort.Search(len(sh.ids), func(i int) bool { return sh.ids[i] >= id })
-	sh.ids = append(sh.ids[:at], sh.ids[at+1:]...)
-	sh.version++
-	sh.syncGauges()
-	return evicted, true
+	return ok
+}
+
+// RemoveAP deletes an AP and returns its evicted users (sorted) for the
+// caller to re-home. ok is false when the AP is unknown.
+func (d *Domain) RemoveAP(id trace.APID) (evicted []Eviction, ok bool) {
+	ok = d.withAP(id, func(sh *shard, st *apState) {
+		evicted = d.drain(st)
+		delete(sh.aps, id)
+		sh.sorted = slices.Delete(sh.sorted, sh.index(id), sh.index(id)+1)
+		sh.version++
+		sh.syncGauges()
+	})
+	return evicted, ok
 }
 
 // SetFailed flips an AP's failure state. Failing an AP evicts and
 // returns its users (sorted); recovery returns nil. Unknown APs no-op.
-func (d *Domain) SetFailed(id trace.APID, failed bool) []Eviction {
-	sh := d.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[id]
-	if !ok {
-		return nil
-	}
-	st.failed = failed
-	var evicted []Eviction
-	if failed {
-		evicted = drain(sh, st)
-	}
-	sh.version++
-	sh.syncGauges()
+func (d *Domain) SetFailed(id trace.APID, failed bool) (evicted []Eviction) {
+	d.withAP(id, func(sh *shard, st *apState) {
+		st.failed = failed
+		if failed {
+			evicted = d.drain(st)
+		}
+		sh.version++
+		sh.syncGauges()
+	})
 	return evicted
 }
 
-// drain evicts every user from st; must run with the shard lock held.
-func drain(sh *shard, st *apState) []Eviction {
-	if len(st.users) == 0 {
+// drain evicts every user from st and returns them sorted by user ID;
+// must run with the shard lock held.
+func (d *Domain) drain(st *apState) []Eviction {
+	if st.numUsers == 0 {
 		return nil
 	}
-	evicted := make([]Eviction, len(st.sortedU))
-	for i, u := range st.sortedU {
-		evicted[i] = Eviction{User: u, DemandBps: st.sortedD[i]}
+	evicted := d.seatsOn(st)[st.id]
+	for _, ev := range evicted {
+		t := d.stripeOf(ev.User)
+		t.mu.Lock()
+		t.drop(ev.User, st.id)
+		t.mu.Unlock()
 	}
-	sh.entries -= len(st.users)
-	st.users = make(map[trace.UserID]float64)
-	st.sortedU = st.sortedU[:0]
-	st.sortedD = st.sortedD[:0]
+	st.numUsers = 0
 	st.believedBps = 0
 	obsEvictions.Add(int64(len(evicted)))
 	return evicted
@@ -411,16 +495,10 @@ func drain(sh *shard, st *apState) []Eviction {
 // SetCapacity updates an AP's capacity (an agent re-hello may revise
 // it). Reports false for unknown APs.
 func (d *Domain) SetCapacity(id trace.APID, capacityBps float64) bool {
-	sh := d.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[id]
-	if !ok {
-		return false
-	}
-	st.capacityBps = capacityBps
-	sh.version++
-	return true
+	return d.withAP(id, func(sh *shard, st *apState) {
+		st.capacityBps = capacityBps
+		sh.version++
+	})
 }
 
 // SetReported records an external load report for one AP (the live
@@ -432,15 +510,7 @@ func (d *Domain) SetCapacity(id trace.APID, capacityBps float64) bool {
 // report commits without ErrStale revalidation (matching the
 // pre-extraction controller, where reports never invalidated views).
 func (d *Domain) SetReported(id trace.APID, loadBps float64) bool {
-	sh := d.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[id]
-	if !ok {
-		return false
-	}
-	st.reportedBps = loadBps
-	return true
+	return d.withAP(id, func(_ *shard, st *apState) { st.reportedBps = loadBps })
 }
 
 // PublishReports snapshots every AP's believed load into its reported
@@ -448,7 +518,7 @@ func (d *Domain) SetReported(id trace.APID, loadBps float64) bool {
 func (d *Domain) PublishReports() {
 	for _, sh := range d.shards {
 		sh.mu.Lock()
-		for _, st := range sh.aps {
+		for _, st := range sh.sorted {
 			st.reportedBps = st.believedBps
 		}
 		sh.mu.Unlock()
@@ -460,7 +530,7 @@ func (d *Domain) Size() int {
 	n := 0
 	for _, sh := range d.shards {
 		sh.mu.RLock()
-		n += len(sh.ids)
+		n += len(sh.sorted)
 		sh.mu.RUnlock()
 	}
 	return n
@@ -471,14 +541,17 @@ func (d *Domain) APs() []trace.APID {
 	var out []trace.APID
 	for _, sh := range d.shards {
 		sh.mu.RLock()
-		out = append(out, sh.ids...)
+		for _, st := range sh.sorted {
+			out = append(out, st.id)
+		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// Info returns one AP's state for inspection.
+// Info returns one AP's state for inspection. Its membership is derived
+// from the placement table — O(users), a cold path.
 func (d *Domain) Info(id trace.APID) (APInfo, bool) {
 	sh := d.shardOf(id)
 	sh.mu.RLock()
@@ -487,7 +560,7 @@ func (d *Domain) Info(id trace.APID) (APInfo, bool) {
 	if !ok {
 		return APInfo{}, false
 	}
-	users, demands := sortedUsers(st)
+	users, demands := split(d.seatsOn(st)[id])
 	return APInfo{
 		CapacityBps: st.capacityBps,
 		ReportedBps: st.reportedBps,
@@ -498,26 +571,53 @@ func (d *Domain) Info(id trace.APID) (APInfo, bool) {
 	}, true
 }
 
-func sortedUsers(st *apState) ([]trace.UserID, []float64) {
-	users := make([]trace.UserID, len(st.sortedU))
-	copy(users, st.sortedU)
-	demands := make([]float64, len(st.sortedD))
-	copy(demands, st.sortedD)
+// seatsOn derives the seat lists of the given APs from the placement
+// table in one pass, each sorted by user ID. The caller holds the shard
+// locks of those APs, which freezes their seats.
+func (d *Domain) seatsOn(aps ...*apState) map[trace.APID][]Eviction {
+	out := make(map[trace.APID][]Eviction, len(aps))
+	for _, st := range aps {
+		out[st.id] = make([]Eviction, 0, st.numUsers)
+	}
+	add := func(u trace.UserID, s Seat) {
+		if l, ok := out[s.AP]; ok {
+			out[s.AP] = append(l, Eviction{User: u, DemandBps: s.DemandBps})
+		}
+	}
+	for _, t := range d.seats {
+		t.mu.RLock()
+		for u, s := range t.first {
+			add(u, s)
+			for _, x := range t.extra[u] {
+				add(u, x)
+			}
+		}
+		t.mu.RUnlock()
+	}
+	for _, l := range out {
+		slices.SortFunc(l, func(a, b Eviction) int { return cmp.Compare(a.User, b.User) })
+	}
+	return out
+}
+
+// split unzips a seat list into aligned user and demand lists.
+func split(seats []Eviction) ([]trace.UserID, []float64) {
+	users := make([]trace.UserID, len(seats))
+	demands := make([]float64, len(seats))
+	for i, s := range seats {
+		users[i], demands[i] = s.User, s.DemandBps
+	}
 	return users, demands
 }
 
-// ViewBuf is a reusable snapshot buffer for ViewsInto. The views' Users
-// and UserDemands slices alias the buffer's flat backing arrays, so a
-// caller that pools ViewBufs takes policy-decision snapshots without
-// allocating once the arrays have grown to the working-set size. The
-// contents are valid until the next ViewsInto call on the same buffer.
+// ViewBuf is a reusable snapshot buffer for ViewsInto. Views carry
+// aggregates only, so a buffer holds one APView per AP whatever the
+// resident count; a pooled ViewBuf takes policy-decision snapshots
+// without allocating once it has grown to the AP count. The contents
+// are valid until the next ViewsInto call on the same buffer.
 type ViewBuf struct {
-	views   []APView
-	ver     Version
-	users   []trace.UserID
-	demands []float64
-	offs    []int
-	sorter  viewSorter
+	views []APView
+	ver   Version
 }
 
 // Views returns the snapshot taken by the last ViewsInto call.
@@ -525,14 +625,6 @@ func (b *ViewBuf) Views() []APView { return b.views }
 
 // Version returns the version vector of the last ViewsInto call.
 func (b *ViewBuf) Version() Version { return b.ver }
-
-// viewSorter sorts APViews by ID without the closure+interface
-// allocations sort.Slice incurs.
-type viewSorter struct{ v []APView }
-
-func (s *viewSorter) Len() int           { return len(s.v) }
-func (s *viewSorter) Less(i, j int) bool { return s.v[i].ID < s.v[j].ID }
-func (s *viewSorter) Swap(i, j int)      { s.v[i], s.v[j] = s.v[j], s.v[i] }
 
 // Views snapshots the non-failed APs for a policy decision by user u,
 // with the per-shard version vector the commit validates against. APs
@@ -545,20 +637,17 @@ func (d *Domain) Views(u trace.UserID) ([]APView, Version) {
 }
 
 // ViewsInto is Views writing into a caller-owned reusable buffer — the
-// zero-allocation fast path for the live controller's Associate. The
-// returned slices are buf's; see ViewBuf.
+// zero-allocation fast path for the live controller's Associate. It
+// copies O(APs) aggregates, never memberships. The returned slices are
+// buf's; see ViewBuf.
 func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 	obsViews.Inc()
 	buf.views = buf.views[:0]
 	buf.ver = buf.ver[:0]
-	buf.users = buf.users[:0]
-	buf.demands = buf.demands[:0]
-	buf.offs = buf.offs[:0]
 	for _, sh := range d.shards {
 		sh.mu.RLock()
 		buf.ver = append(buf.ver, sh.version)
-		for _, id := range sh.ids {
-			st := sh.aps[id]
+		for _, st := range sh.sorted {
 			if st.failed {
 				continue
 			}
@@ -574,29 +663,18 @@ func (d *Domain) ViewsInto(u trace.UserID, buf *ViewBuf) {
 			default:
 				load = st.believedBps
 			}
-			// Copy membership into the flat arrays; the per-view slices
-			// are cut after the loop, once the arrays stop moving.
-			buf.offs = append(buf.offs, len(buf.users))
-			buf.users = append(buf.users, st.sortedU...)
-			buf.demands = append(buf.demands, st.sortedD...)
 			buf.views = append(buf.views, APView{
-				ID:          id,
+				ID:          st.id,
 				CapacityBps: st.capacityBps,
 				LoadBps:     load,
-				RSSI:        d.rssi(u, id),
+				NumUsers:    st.numUsers,
+				RSSI:        d.rssi(u, st.id),
 			})
 		}
 		sh.mu.RUnlock()
 	}
-	buf.offs = append(buf.offs, len(buf.users))
-	for i := range buf.views {
-		lo, hi := buf.offs[i], buf.offs[i+1]
-		buf.views[i].Users = buf.users[lo:hi:hi]
-		buf.views[i].UserDemands = buf.demands[lo:hi:hi]
-	}
 	if len(d.shards) > 1 {
-		buf.sorter.v = buf.views
-		sort.Sort(&buf.sorter)
+		slices.SortFunc(buf.views, func(a, b APView) int { return cmp.Compare(a.ID, b.ID) })
 	}
 }
 
@@ -674,21 +752,9 @@ func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 	// Apply in order: sequential placements see each other's load, so a
 	// batch commit charges overloads exactly like sequential commits.
 	for _, p := range ps {
-		if p.Prev != "" {
-			psh := d.shards[d.ShardOf(p.Prev)]
-			if prev, ok := psh.aps[p.Prev]; ok {
-				removeUser(psh, prev, p.User)
-			}
-		}
-		sh := d.shards[d.ShardOf(p.AP)]
-		st := sh.aps[p.AP]
-		if !Admits(st.capacityBps, st.believedBps, p.DemandBps) {
+		if d.place(p) {
 			res.Overloads++
 		}
-		if st.bumpUser(p.User, p.DemandBps) {
-			sh.entries++
-		}
-		st.believedBps += p.DemandBps
 	}
 	for _, i := range idxs {
 		d.shards[i].version++
@@ -706,78 +772,83 @@ func (d *Domain) Commit(ps []Placement, ver Version) (CommitResult, error) {
 	return res, nil
 }
 
-// removeUser fully detaches u from st; must run with the shard lock held.
-func removeUser(sh *shard, st *apState, u trace.UserID) (removed float64, ok bool) {
-	cur, ok := st.users[u]
-	if !ok {
-		return 0, false
+// place applies one validated placement and reports whether it broke
+// the bandwidth constraint; must run with the shard locks of p.AP and
+// p.Prev held.
+func (d *Domain) place(p Placement) (overload bool) {
+	t := d.stripeOf(p.User)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if p.Prev != "" {
+		if prev, ok := d.shardOf(p.Prev).aps[p.Prev]; ok {
+			t.release(prev, p.User, math.Inf(1))
+		}
 	}
-	st.dropUser(u)
-	sh.entries--
-	st.believedBps -= cur
-	if st.believedBps < 0 {
-		st.believedBps = 0
+	st := d.shardOf(p.AP).aps[p.AP]
+	overload = !Admits(st.capacityBps, st.believedBps, p.DemandBps)
+	st.believedBps += p.DemandBps
+	cur, had := t.find(p.User, p.AP)
+	t.put(p.User, p.AP, cur+p.DemandBps)
+	if !had {
+		st.numUsers++
 	}
-	return cur, true
+	return overload
 }
 
 // Leave releases demand of one of u's sessions on ap — multiplicity
 // semantics for the simulator, where a user may hold several concurrent
 // sessions on the same AP: the believed demand is decremented and the
-// user entry survives until its demand drains. Reports false when the
-// AP or the user is unknown.
+// seat survives until its demand drains. Reports false when the AP or
+// the user is unknown.
 func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
-	sh := d.shardOf(ap)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[ap]
-	if !ok {
-		return false
-	}
-	cur, ok := st.users[u]
-	if !ok {
-		return false
-	}
-	// Bound the release by the user's recorded demand so a misreported
-	// leave cannot erase other sessions' believed load on this AP.
-	release := demandBps
-	if release > cur {
-		release = cur
-	}
-	if rem := cur - release; rem <= 1e-9 {
-		st.dropUser(u)
-		sh.entries--
-	} else {
-		st.users[u] = rem
-		st.sortedD[st.userIndex(u)] = rem
-	}
-	st.believedBps -= release
-	if st.believedBps < 0 {
-		st.believedBps = 0
-	}
-	sh.version++
-	sh.syncGauges()
-	return true
+	_, ok := d.leave(u, ap, demandBps)
+	return ok
 }
 
 // LeaveAll fully detaches u from ap (the live controller's
 // disassociation — one assignment per user) and returns the believed
 // demand released.
 func (d *Domain) LeaveAll(u trace.UserID, ap trace.APID) (demandBps float64, ok bool) {
-	sh := d.shardOf(ap)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	st, ok := sh.aps[ap]
+	return d.leave(u, ap, math.Inf(1))
+}
+
+func (d *Domain) leave(u trace.UserID, ap trace.APID, demandBps float64) (released float64, ok bool) {
+	d.withAP(ap, func(sh *shard, st *apState) {
+		t := d.stripeOf(u)
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if released, ok = t.release(st, u, demandBps); ok {
+			sh.version++
+			sh.syncGauges()
+		}
+	})
+	return released, ok
+}
+
+// release takes up to demandBps of u's seat on st, bounded by the seat's
+// demand so a misreported leave cannot erase other sessions' believed
+// load; the seat goes once its demand drains. Runs with st's shard lock
+// and u's stripe lock held.
+func (t *seatStripe) release(st *apState, u trace.UserID, demandBps float64) (float64, bool) {
+	cur, ok := t.find(u, st.id)
 	if !ok {
 		return 0, false
 	}
-	removed, ok := removeUser(sh, st, u)
-	if !ok {
-		return 0, false
+	release := demandBps
+	if release > cur {
+		release = cur
 	}
-	sh.version++
-	sh.syncGauges()
-	return removed, true
+	if rem := cur - release; rem <= 1e-9 {
+		t.drop(u, st.id)
+		st.numUsers--
+	} else {
+		t.put(u, st.id, rem)
+	}
+	st.believedBps -= release
+	if st.believedBps < 0 {
+		st.believedBps = 0
+	}
+	return release, true
 }
 
 // LogSession emits one completed-association record to the configured

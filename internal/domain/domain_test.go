@@ -543,3 +543,75 @@ func TestShardOfStable(t *testing.T) {
 		t.Fatalf("negative Shards = %d, want 1", got)
 	}
 }
+
+// TestConcurrentSeatLookups: placement lookups run concurrently with
+// moves across shards and with AP churn. A move releases the old seat
+// and takes the new one under one stripe lock, so a reader always finds
+// a moving user on exactly one AP — never on two, never on none.
+func TestConcurrentSeatLookups(t *testing.T) {
+	d := New(Config{Shards: 8})
+	aps := make([]trace.APID, 16)
+	for i := range aps {
+		aps[i] = trace.APID(fmt.Sprintf("ap%02d", i))
+		if err := d.AddAP(aps[i], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	users := []trace.UserID{"m0", "m1", "m2", "m3"}
+	for i, u := range users {
+		if _, err := d.Commit([]Placement{{User: u, AP: aps[i], DemandBps: 1}}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	for w, u := range users {
+		writers.Add(1)
+		go func(w int, u trace.UserID) {
+			defer writers.Done()
+			prev := aps[w]
+			for i := 0; i < 500; i++ {
+				next := aps[(w*5+i*3+1)%len(aps)]
+				if _, err := d.Commit([]Placement{{User: u, AP: next, Prev: prev, DemandBps: 1}}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+				prev = next
+			}
+		}(w, u)
+	}
+	writers.Add(1)
+	go func() { // AP churn on APs nobody sits on
+		defer writers.Done()
+		for i := 0; i < 200; i++ {
+			id := trace.APID(fmt.Sprintf("churn%d", i%3))
+			if err := d.AddAP(id, 0); err == nil {
+				d.RemoveAP(id)
+			}
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var seats []Seat
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, u := range users {
+					if seats = d.AppendSeats(seats[:0], u); len(seats) != 1 {
+						t.Errorf("%s seen on %d APs mid-move: %v", u, len(seats), seats)
+						return
+					}
+				}
+				d.Views("reader")
+			}
+		}()
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+}

@@ -1,10 +1,12 @@
 package domain
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
@@ -35,50 +37,51 @@ const stateVersion = 1
 
 // ExportState snapshots the domain's full association state: every AP
 // with its capacity, report, failure flag and believed users/demands.
-// Each shard is read under its lock; like Views, the snapshot is
-// per-shard consistent and APs are returned in sorted ID order.
+// Every shard is read-locked for the duration, and the memberships are
+// derived from the placement table in one pass, sorted by user ID. APs
+// are returned in sorted ID order.
 func (d *Domain) ExportState() *State {
-	st := &State{Version: stateVersion}
 	for _, sh := range d.shards {
 		sh.mu.RLock()
-		for _, id := range sh.ids {
-			ap := sh.aps[id]
-			users, demands := sortedUsers(ap)
-			st.APs = append(st.APs, APState{
-				ID:          id,
-				CapacityBps: ap.capacityBps,
-				ReportedBps: ap.reportedBps,
-				Failed:      ap.failed,
-				Users:       users,
-				Demands:     demands,
-			})
-		}
+	}
+	var aps []*apState
+	for _, sh := range d.shards {
+		aps = append(aps, sh.sorted...)
+	}
+	seats := d.seatsOn(aps...)
+	st := &State{Version: stateVersion, APs: make([]APState, 0, len(aps))}
+	for _, ap := range aps {
+		users, demands := split(seats[ap.id])
+		st.APs = append(st.APs, APState{
+			ID:          ap.id,
+			CapacityBps: ap.capacityBps,
+			ReportedBps: ap.reportedBps,
+			Failed:      ap.failed,
+			Users:       users,
+			Demands:     demands,
+		})
+	}
+	for _, sh := range d.shards {
 		sh.mu.RUnlock()
 	}
-	sort.Slice(st.APs, func(i, k int) bool { return st.APs[i].ID < st.APs[k].ID })
+	slices.SortFunc(st.APs, func(a, b APState) int { return cmp.Compare(a.ID, b.ID) })
 	return st
 }
 
 // ImportState loads an exported state into this domain, which must be
 // empty (freshly constructed). The shard count need not match the
-// exporting domain's.
+// exporting domain's. The whole state is checked before anything is
+// applied, so a rejected state leaves the domain empty.
 func (d *Domain) ImportState(st *State) error {
-	if st == nil {
-		return fmt.Errorf("domain: import nil state")
-	}
-	if st.Version != stateVersion {
-		return fmt.Errorf("domain: unsupported state version %d", st.Version)
+	if err := st.check(); err != nil {
+		return err
 	}
 	if d.Size() != 0 {
 		return fmt.Errorf("domain: import into non-empty domain (%d APs)", d.Size())
 	}
 	for _, ap := range st.APs {
-		if len(ap.Users) != len(ap.Demands) {
-			return fmt.Errorf("domain: AP %q state has %d users but %d demands",
-				ap.ID, len(ap.Users), len(ap.Demands))
-		}
 		if err := d.AddAP(ap.ID, ap.CapacityBps); err != nil {
-			return err
+			return err // unreachable: check rejects empty and duplicate IDs
 		}
 		sh := d.shardOf(ap.ID)
 		sh.mu.Lock()
@@ -86,18 +89,52 @@ func (d *Domain) ImportState(st *State) error {
 		apst.reportedBps = ap.ReportedBps
 		apst.failed = ap.Failed
 		for i, u := range ap.Users {
-			if u == "" {
-				sh.mu.Unlock()
-				return fmt.Errorf("domain: AP %q state has empty user id", ap.ID)
-			}
-			if apst.bumpUser(u, ap.Demands[i]) {
-				sh.entries++
-			}
+			t := d.stripeOf(u)
+			t.mu.Lock()
+			t.put(u, ap.ID, ap.Demands[i])
+			t.mu.Unlock()
 			apst.believedBps += ap.Demands[i]
 		}
+		apst.numUsers = len(ap.Users)
 		sh.version++
 		sh.syncGauges()
 		sh.mu.Unlock()
+	}
+	return nil
+}
+
+// check validates a state before import: supported version, unique
+// non-empty AP IDs, aligned users and demands, no user listed twice on
+// one AP, and finite non-negative capacities, reports and demands.
+func (st *State) check() error {
+	if st == nil {
+		return fmt.Errorf("domain: import nil state")
+	}
+	if st.Version != stateVersion {
+		return fmt.Errorf("domain: unsupported state version %d", st.Version)
+	}
+	bad := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
+	seenAP := make(map[trace.APID]bool, len(st.APs))
+	for _, ap := range st.APs {
+		switch {
+		case ap.ID == "" || seenAP[ap.ID]:
+			return fmt.Errorf("domain: state has an empty or repeated AP id %q", ap.ID)
+		case len(ap.Users) != len(ap.Demands):
+			return fmt.Errorf("domain: AP %q state has %d users but %d demands",
+				ap.ID, len(ap.Users), len(ap.Demands))
+		case bad(ap.CapacityBps) || bad(ap.ReportedBps):
+			return fmt.Errorf("domain: AP %q state has capacity %v, reported load %v",
+				ap.ID, ap.CapacityBps, ap.ReportedBps)
+		}
+		seenAP[ap.ID] = true
+		seenUser := make(map[trace.UserID]bool, len(ap.Users))
+		for i, u := range ap.Users {
+			if u == "" || seenUser[u] || bad(ap.Demands[i]) {
+				return fmt.Errorf("domain: AP %q state has user %q (empty or repeated) or demand %v",
+					ap.ID, u, ap.Demands[i])
+			}
+			seenUser[u] = true
+		}
 	}
 	return nil
 }

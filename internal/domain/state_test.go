@@ -3,6 +3,7 @@ package domain
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -84,15 +85,37 @@ func TestImportStateRejectsNonEmptyDomain(t *testing.T) {
 }
 
 func TestImportStateRejectsDamage(t *testing.T) {
+	good := APState{ID: "a", CapacityBps: 10, Users: []trace.UserID{"u"}, Demands: []float64{1}}
+	// at builds a state whose damage sits on the second AP, after one
+	// that would import cleanly.
+	at := func(ap APState) *State { return &State{Version: stateVersion, APs: []APState{good, ap}} }
 	cases := map[string]*State{
-		"nil":          nil,
-		"version":      {Version: 99},
-		"misaligned":   {Version: stateVersion, APs: []APState{{ID: "a", Users: []trace.UserID{"u"}, Demands: nil}}},
-		"empty-user":   {Version: stateVersion, APs: []APState{{ID: "a", Users: []trace.UserID{""}, Demands: []float64{1}}}},
+		"nil":              nil,
+		"version":          {Version: 99},
+		"misaligned":       {Version: stateVersion, APs: []APState{{ID: "a", Users: []trace.UserID{"u"}, Demands: nil}}},
+		"empty-user":       {Version: stateVersion, APs: []APState{{ID: "a", Users: []trace.UserID{""}, Demands: []float64{1}}}},
+		"empty-ap":         at(APState{ID: ""}),
+		"duplicate-ap":     at(APState{ID: "a"}),
+		"user-twice":       at(APState{ID: "b", Users: []trace.UserID{"v", "v"}, Demands: []float64{1, 2}}),
+		"negative-cap":     at(APState{ID: "b", CapacityBps: -1}),
+		"nan-cap":          at(APState{ID: "b", CapacityBps: math.NaN()}),
+		"inf-reported":     at(APState{ID: "b", ReportedBps: math.Inf(1)}),
+		"negative-report":  at(APState{ID: "b", ReportedBps: -3}),
+		"negative-demand":  at(APState{ID: "b", Users: []trace.UserID{"v"}, Demands: []float64{-5}}),
+		"nan-demand":       at(APState{ID: "b", Users: []trace.UserID{"v"}, Demands: []float64{math.NaN()}}),
+		"inf-demand":       at(APState{ID: "b", Users: []trace.UserID{"v"}, Demands: []float64{math.Inf(1)}}),
+		"empty-user-later": at(APState{ID: "b", Users: []trace.UserID{""}, Demands: []float64{1}}),
 	}
 	for name, st := range cases {
-		if err := New(Config{}).ImportState(st); err == nil {
+		d := New(Config{Shards: 4})
+		if err := d.ImportState(st); err == nil {
 			t.Fatalf("%s: expected error", name)
+		}
+		if d.Size() != 0 || len(d.ExportState().APs) != 0 {
+			t.Fatalf("%s: rejected state left %d APs imported", name, d.Size())
+		}
+		if seats := d.AppendSeats(nil, "u"); len(seats) != 0 {
+			t.Fatalf("%s: rejected state left seats %v", name, seats)
 		}
 	}
 }

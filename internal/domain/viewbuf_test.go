@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
-// TestViewsIntoMatchesViews: the pooled flat-array snapshot must be
+// TestViewsIntoMatchesViews: the pooled snapshot must be
 // indistinguishable from the allocating Views path across mutations,
 // and reusing the buffer must never let a later call alias an earlier
 // view's user slice.
@@ -78,65 +79,33 @@ func TestViewsIntoMatchesViews(t *testing.T) {
 	}
 }
 
-// TestSortedMirrorConsistency: the incrementally maintained sorted
-// user/demand mirrors must agree with the authoritative map after every
-// kind of mutation.
-func TestSortedMirrorConsistency(t *testing.T) {
-	d := New(Config{Shards: 1})
-	if err := d.AddAP("ap", 1e6); err != nil {
-		t.Fatal(err)
+// TestViewsIntoFlatInResidents: a view carries aggregates only, so the
+// pooled buffer's footprint and the allocations of a snapshot are the
+// same with no residents and with 100k.
+func TestViewsIntoFlatInResidents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads 100k residents")
 	}
-	mutate := []struct {
-		name string
-		run  func()
-	}{
-		{"joins", func() {
-			var ps []Placement
-			for i := 0; i < 16; i++ {
-				ps = append(ps, Placement{User: trace.UserID(fmt.Sprintf("z%02d", 15-i)), AP: "ap", DemandBps: float64(i + 1)})
+	measure := func(residents int) (allocs float64, footprint uintptr) {
+		d, _ := newBenchDomain(t, 4, residents)
+		var buf ViewBuf
+		d.ViewsInto("probe", &buf)
+		allocs = testing.AllocsPerRun(100, func() { d.ViewsInto("probe", &buf) })
+		footprint = uintptr(cap(buf.views))*unsafe.Sizeof(APView{}) +
+			uintptr(cap(buf.ver))*unsafe.Sizeof(uint64(0))
+		for _, v := range buf.Views() {
+			if v.Users != nil || v.UserDemands != nil {
+				t.Fatalf("view %s copies membership", v.ID)
 			}
-			if _, err := d.Commit(ps, nil); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"demand bump", func() {
-			if _, err := d.Commit([]Placement{{User: "z05", AP: "ap", DemandBps: 100}}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"partial leave", func() { d.Leave("z05", "ap", 40) }},
-		{"full leave via drain", func() { d.Leave("z06", "ap", 1e9) }},
-		{"leave all", func() { d.LeaveAll("z07", "ap") }},
+		}
+		return allocs, footprint
 	}
-	for _, m := range mutate {
-		m.run()
-		info, ok := d.Info("ap")
-		if !ok {
-			t.Fatalf("%s: AP vanished", m.name)
-		}
-		sh := d.shardOf("ap")
-		sh.mu.RLock()
-		st := sh.aps["ap"]
-		if len(st.sortedU) != len(st.users) || len(st.sortedD) != len(st.users) {
-			sh.mu.RUnlock()
-			t.Fatalf("%s: mirror length %d/%d vs map %d", m.name, len(st.sortedU), len(st.sortedD), len(st.users))
-		}
-		for i, u := range st.sortedU {
-			if i > 0 && st.sortedU[i-1] >= u {
-				sh.mu.RUnlock()
-				t.Fatalf("%s: mirror out of order at %d: %v", m.name, i, st.sortedU)
-			}
-			if st.users[u] != st.sortedD[i] {
-				sh.mu.RUnlock()
-				t.Fatalf("%s: demand mirror for %s = %v, map %v", m.name, u, st.sortedD[i], st.users[u])
-			}
-		}
-		sh.mu.RUnlock()
-		for i, u := range info.Users {
-			if i > 0 && info.Users[i-1] >= u {
-				t.Fatalf("%s: Info users out of order: %v", m.name, info.Users)
-			}
-			_ = info.UserDemands[i]
-		}
+	a0, f0 := measure(0)
+	a1, f1 := measure(100_000)
+	if a0 != 0 || a1 != 0 {
+		t.Errorf("ViewsInto allocates %.1f (0 residents) / %.1f (100k) objects, want 0", a0, a1)
+	}
+	if f0 != f1 {
+		t.Errorf("ViewBuf footprint %d B at 0 residents, %d B at 100k; want equal", f0, f1)
 	}
 }

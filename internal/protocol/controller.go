@@ -802,7 +802,7 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 // assocScratch holds the per-call buffers of the Associate fast path:
 // the reusable view snapshot and the single-placement commit argument.
 // Pooled so a steady-state association performs no heap allocation once
-// the view arrays have grown to the domain's working-set size.
+// the view buffer has grown to the AP count.
 type assocScratch struct {
 	views domain.ViewBuf
 	ps    [1]domain.Placement
@@ -845,9 +845,10 @@ func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID
 		}
 
 		ap, err := c.selector.Select(wlan.Request{
-			User:      user,
-			At:        ts,
-			DemandBps: demandBps,
+			User:       user,
+			At:         ts,
+			DemandBps:  demandBps,
+			Placements: c.dom,
 		}, views)
 		if err != nil {
 			return "", fmt.Errorf("protocol: policy: %w", err)
@@ -970,6 +971,7 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 				continue
 			}
 			seen[r.User] = true
+			r.Placements = c.dom
 			batchReqs = append(batchReqs, r)
 		}
 		m, err := bs.SelectBatch(batchReqs, views)
@@ -1218,23 +1220,20 @@ func (c *Controller) emitLifecycle(evs []lifecycleEvent, conns []*Conn) {
 }
 
 // Snapshot reports the controller's current state for inspection: per-AP
-// associated users and served volume. Taking a snapshot also sweeps
+// associated users (derived from the domain's placement table in one
+// pass, sorted) and served volume. Taking a snapshot also sweeps
 // expired leases, so it reflects only live APs.
 func (c *Controller) Snapshot() map[trace.APID]APStatus {
 	c.mu.Lock()
 	evs, conns := c.expireLocked(c.now())
-	ids := c.dom.APs()
-	out := make(map[trace.APID]APStatus, len(ids))
-	for _, id := range ids {
-		info, ok := c.dom.Info(id)
-		if !ok {
-			continue
-		}
-		out[id] = APStatus{
-			CapacityBps: info.CapacityBps,
-			ReportedBps: info.ReportedBps,
-			Users:       info.Users,
-			ServedBytes: c.served[id],
+	st := c.dom.ExportState()
+	out := make(map[trace.APID]APStatus, len(st.APs))
+	for _, ap := range st.APs {
+		out[ap.ID] = APStatus{
+			CapacityBps: ap.CapacityBps,
+			ReportedBps: ap.ReportedBps,
+			Users:       ap.Users,
+			ServedBytes: c.served[ap.ID],
 		}
 	}
 	c.mu.Unlock()

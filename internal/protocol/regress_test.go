@@ -11,9 +11,12 @@ import (
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/core"
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/obs"
+	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/trace"
+	"github.com/s3wlan/s3wlan/internal/wlan"
 )
 
 // TestSameAPReassociationKeepsSession: re-associating onto the current
@@ -435,38 +438,81 @@ func TestDisassocCheckpointConsistency(t *testing.T) {
 }
 
 // TestAssociateSteadyStateAllocs gates the association fast path: a
-// steady-state re-association (same user, same AP, new demand) through
-// an unjournaled, log-quiet controller must not allocate — the AP views,
-// the placement and the commit all run from pooled scratch.
+// steady-state re-association (same user, new demand) through an
+// unjournaled, log-quiet controller must not allocate — the AP views,
+// the friend lookups, the placement and the commit all run from pooled
+// scratch. It runs under LLF and under S³-live (an incremental engine
+// as FriendIndex) with 100k residents, u-0's close friends among them.
 func TestAssociateSteadyStateAllocs(t *testing.T) {
-	c, err := NewController(baseline.LLF{})
-	if err != nil {
-		t.Fatal(err)
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector (sync.Pool drops items)")
 	}
-	for i := 0; i < 8; i++ {
-		if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap-%d", i)), 1e6); err != nil {
+	s3live := func(t *testing.T) wlan.Selector {
+		cfg := incremental.DefaultConfig()
+		cfg.Society.MinEncounters = 1
+		cfg.RefreshEvents = 0
+		eng := incremental.New(cfg)
+		// u-0 co-leaves with five residents: close friends with θ = 1.
+		for i := 1; i <= 5; i++ {
+			f := trace.UserID(fmt.Sprintf("u-%d", i*1000))
+			eng.Connect("u-0", "cafe", int64(i)*10000)
+			eng.Connect(f, "cafe", int64(i)*10000)
+			if err := eng.Disconnect("u-0", "cafe", int64(i)*10000+3600); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Disconnect(f, "cafe", int64(i)*10000+3650); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Refresh()
+		if n := len(eng.CloseFriends("u-0")); n != 5 {
+			t.Fatalf("u-0 has %d close friends, want 5", n)
+		}
+		sel, err := core.NewSelector(eng, core.DefaultSelectorConfig())
+		if err != nil {
 			t.Fatal(err)
 		}
+		return sel
 	}
-	for i := 0; i < 32; i++ {
-		if _, err := c.Associate(trace.UserID(fmt.Sprintf("u-%d", i)), 100); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm the pools.
-	for i := 0; i < 100; i++ {
-		if _, err := c.Associate("u-0", float64(100+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var demand float64 = 100
-	allocs := testing.AllocsPerRun(200, func() {
-		demand += 1
-		if _, err := c.Associate("u-0", demand); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state Associate allocates %.1f objects/op, want 0", allocs)
+	for _, tc := range []struct {
+		name      string
+		selector  func(*testing.T) wlan.Selector
+		residents int
+	}{
+		{"LLF", func(*testing.T) wlan.Selector { return baseline.LLF{} }, 32},
+		{"S3-live/100k", s3live, 100_000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewController(tc.selector(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				if err := c.RegisterAP(trace.APID(fmt.Sprintf("ap-%d", i)), 1e6); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < tc.residents; i++ {
+				if _, err := c.Associate(trace.UserID(fmt.Sprintf("u-%d", i)), 100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm the pools.
+			for i := 0; i < 100; i++ {
+				if _, err := c.Associate("u-0", float64(100+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var demand float64 = 100
+			allocs := testing.AllocsPerRun(200, func() {
+				demand += 1
+				if _, err := c.Associate("u-0", demand); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("steady-state Associate allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }

@@ -14,6 +14,11 @@ type Request struct {
 	// DemandBps is the user's estimated bandwidth demand w(u) in
 	// bytes/second.
 	DemandBps float64
+	// Placements is the requester's domain, whose placement table
+	// (Domain.AppendSeats, read live) tells where other users sit. The
+	// simulator and the controller set it; S³ reads friend load through
+	// it. Nil means no resident is visible.
+	Placements *domain.Domain
 }
 
 // APView is a selector's read-only view of one AP's live state. It is

@@ -64,7 +64,7 @@ type Config struct {
 	// LoadReportIntervalSeconds models the controller's AP traffic-report
 	// polling (CAPWAP-style statistics): selectors see each AP's LoadBps
 	// as of the last report tick rather than live. Association state
-	// (user lists, per-user believed demands) is always live — the
+	// (who sits where, with believed demands) is always live — the
 	// controller performs the associations itself. 0 means live load.
 	LoadReportIntervalSeconds int64
 	// Observer, when set, receives every placement and departure the
@@ -149,6 +149,7 @@ type ctrlDomain struct {
 	selector Selector
 	result   *DomainResult
 	observer AssociationObserver
+	views    domain.ViewBuf // reused by every decision of this controller
 }
 
 // Simulate replays the trace's sessions through the association policies.
@@ -342,7 +343,8 @@ func truncateSessions(d *ctrlDomain, ap trace.APID, evicted []domain.Eviction, n
 }
 
 func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg Config) error {
-	views, _ := d.dom.Views(batch[0].User)
+	d.dom.ViewsInto(batch[0].User, &d.views)
+	views := d.views.Views()
 	if len(views) == 0 {
 		return fmt.Errorf("wlan: controller %q has no available APs at t=%d",
 			d.id, e.Now())
@@ -361,9 +363,10 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg C
 			}
 			seen[s.User] = true
 			reqs = append(reqs, Request{
-				User:      s.User,
-				At:        s.ConnectAt,
-				DemandBps: cfg.DemandFor(s),
+				User:       s.User,
+				At:         s.ConnectAt,
+				DemandBps:  cfg.DemandFor(s),
+				Placements: d.dom,
 			})
 		}
 		m, err := bs.SelectBatch(reqs, views)
@@ -377,11 +380,11 @@ func handleBatch(e *eventsim.Engine, d *ctrlDomain, batch []trace.Session, cfg C
 		apID, ok := placed[s.User]
 		demand := cfg.DemandFor(s)
 		if !ok {
-			vs, _ := d.dom.Views(s.User)
+			d.dom.ViewsInto(s.User, &d.views)
 			var err error
 			apID, err = d.selector.Select(Request{
-				User: s.User, At: s.ConnectAt, DemandBps: demand,
-			}, vs)
+				User: s.User, At: s.ConnectAt, DemandBps: demand, Placements: d.dom,
+			}, d.views.Views())
 			if err != nil {
 				return fmt.Errorf("wlan: select on %q: %w", d.id, err)
 			}
