@@ -37,7 +37,7 @@ federation-chaos:
 OVERLOAD_BENCH ?= BENCH_overload.json
 overload-soak:
 	$(GO) test -race -count=1 -v -run 'TestAdmission|TestShed|TestHelloTimeout|TestPanicContainment|TestOverloadSoak|TestBreaker|TestReportQueue' ./internal/protocol ./internal/federation
-	$(GO) test -race -count=1 -v ./internal/faults ./internal/protocol/faultconn ./internal/journal/faultfile
+	$(GO) test -race -count=1 -v ./internal/faults
 	OVERLOAD_BENCH_JSON=$(abspath $(OVERLOAD_BENCH)) $(GO) test -count=1 -run TestOverloadBenchJSON -v ./internal/protocol
 
 # Record a chaos soak into a flight ring, then decode and health-check it.

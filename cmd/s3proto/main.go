@@ -73,12 +73,13 @@ import (
 	"github.com/s3wlan/s3wlan/internal/apps"
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/core"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/federation"
 	"github.com/s3wlan/s3wlan/internal/journal"
 	"github.com/s3wlan/s3wlan/internal/obs"
 	"github.com/s3wlan/s3wlan/internal/obs/flight"
 	"github.com/s3wlan/s3wlan/internal/protocol"
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
+	"github.com/s3wlan/s3wlan/internal/runner"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/society/incremental"
 	"github.com/s3wlan/s3wlan/internal/synth"
@@ -97,7 +98,6 @@ func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("s3proto", flag.ContinueOnError)
 	var (
 		listen   = fs.String("listen", "127.0.0.1:0", "controller listen address (binary codec, auto-detects JSON peers)")
-		jsonPort = fs.String("json-port", "", "extra JSON-only debug/compat listen address (binary frames rejected)")
 		policy   = fs.String("policy", "s3", "association policy: s3, s3-live or llf")
 		refEvery = fs.Duration("refresh-every", 5*time.Second, "s3-live: periodic snapshot refresh interval")
 		refEvts  = fs.Int("refresh-events", 256, "s3-live: also refresh after this many association events (0 = periodic only)")
@@ -276,13 +276,6 @@ func run(args []string, out io.Writer) (err error) {
 	}
 	defer ctl.Close()
 	fmt.Fprintf(out, "controller (%s policy) listening on %s\n", selector.Name(), addr)
-	if *jsonPort != "" {
-		jaddr, jerr := ctl.ListenJSON(*jsonPort)
-		if jerr != nil {
-			return jerr
-		}
-		fmt.Fprintf(out, "JSON compatibility port on %s\n", jaddr)
-	}
 	if rec := ctl.Recovery(); rec != nil {
 		writeRecovery(out, rec)
 	}
@@ -619,6 +612,14 @@ type chaosConfig struct {
 	seed     int64
 }
 
+// Chaos fault schedules, one terminal phase each. The listener plan
+// injects into every accepted connection; the agent plan tears an AP
+// agent's own transport down after 15 writes.
+const (
+	chaosListenerPlan = "chaos 0 drop=0.01 partial=0.01 rerr=0.01 delayp=0.05 delay=2ms closer=50"
+	chaosAgentPlan    = "selfdestruct 0 closew=15"
+)
+
 // runChaos soaks the live controller under churn: the listener injects
 // drops, delays, torn frames and mid-stream closes into every accepted
 // connection; AP agents dial through a self-destructing transport so
@@ -639,18 +640,9 @@ func runChaos(selector wlan.Selector, opts []protocol.ControllerOption, cfg chao
 	if err != nil {
 		return err
 	}
-	addr := ctl.Serve(&faultconn.Listener{
-		Listener: ln,
-		Config: faultconn.Config{
-			Seed:             cfg.seed,
-			DropWriteProb:    0.01,
-			PartialWriteProb: 0.01,
-			ReadErrProb:      0.01,
-			DelayProb:        0.05,
-			MaxDelay:         2 * time.Millisecond,
-			CloseAfterReads:  50,
-		},
-	})
+	plan := faults.MustParse(chaosListenerPlan)
+	plan.Seed = cfg.seed
+	addr := ctl.Serve(faults.NewEngine(plan).Listener(ln))
 	defer ctl.Close()
 	fmt.Fprintf(out, "chaos soak: %s policy, %d APs, %d stations, %v, seed %d\n",
 		selector.Name(), cfg.aps, cfg.stations, cfg.duration, cfg.seed)
@@ -670,18 +662,16 @@ func runChaos(selector wlan.Selector, opts []protocol.ControllerOption, cfg chao
 			rc.MaxAttempts = 50
 			rc.BaseDelay = 10 * time.Millisecond
 			rc.MaxDelay = 200 * time.Millisecond
-			rc.Seed = faultconn.DeriveSeed(cfg.seed, int64(1000+i))
-			var dials atomic.Int64
+			rc.Seed = runner.DeriveSeed(cfg.seed, 999+i)
+			plan := faults.MustParse(chaosAgentPlan)
+			plan.Seed = rc.Seed
+			dials := faults.NewEngine(plan)
 			rc.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 				raw, err := net.DialTimeout("tcp", addr, timeout)
 				if err != nil {
 					return nil, err
 				}
-				n := dials.Add(1)
-				return faultconn.Wrap(raw, faultconn.Config{
-					Seed:             faultconn.DeriveSeed(rc.Seed, n),
-					CloseAfterWrites: 15,
-				}), nil
+				return dials.Conn(raw), nil
 			}
 			agent, err := protocol.DialAPReconnecting(addr, id, 10e6, timeout, rc)
 			if err != nil {
@@ -706,7 +696,7 @@ func runChaos(selector wlan.Selector, opts []protocol.ControllerOption, cfg chao
 		go func(i int) {
 			defer wg.Done()
 			user := trace.UserID(fmt.Sprintf("user-%04d", i))
-			rng := rand.New(rand.NewSource(faultconn.DeriveSeed(cfg.seed, int64(2000+i))))
+			rng := rand.New(rand.NewSource(runner.DeriveSeed(cfg.seed, 1999+i)))
 			for time.Now().Before(deadline) {
 				st, err := protocol.DialStation(addr, user, timeout)
 				if err != nil {

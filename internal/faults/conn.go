@@ -1,14 +1,4 @@
-// Package faultconn wraps net.Conn and net.Listener with seeded,
-// schedulable fault injection: dropped and partial writes, injected
-// read/write errors, delays, mid-stream closes, and transient accept
-// failures. The protocol lifecycle tests and the s3proto chaos demo use
-// it to subject the live controller to exactly the churn the paper
-// studies — peers that vanish, reconnect, and misbehave — while staying
-// reproducible: every probabilistic decision comes from a seeded
-// generator, and listener-wrapped connections derive per-connection
-// seeds with a splitmix64 finalizer (same discipline as
-// internal/runner's DeriveSeed).
-package faultconn
+package faults
 
 import (
 	"errors"
@@ -18,15 +8,14 @@ import (
 	"time"
 )
 
-// ErrInjected marks a failure manufactured by the wrapper (as opposed to
-// one surfaced by the real transport).
-var ErrInjected = errors.New("faultconn: injected error")
+// ErrInjected marks a failure manufactured by a wrapper (as opposed to
+// one surfaced by the real transport or file).
+var ErrInjected = errors.New("faults: injected error")
 
-// Config is a fault schedule. Probabilities are per operation in [0,1];
-// zero values inject nothing, so Config{} is a transparent wrapper.
-type Config struct {
-	// Seed seeds the decision stream.
-	Seed int64
+// ConnFaults is a connection fault schedule. Probabilities are per
+// operation in [0,1]; zero values inject nothing, so ConnFaults{} is
+// transparent.
+type ConnFaults struct {
 	// DropWriteProb silently discards a write (reported as fully
 	// written) — the classic lost report.
 	DropWriteProb float64
@@ -61,18 +50,11 @@ type Config struct {
 	StallDur time.Duration
 }
 
-// Source supplies a live fault schedule, consulted once per operation.
-// A dynamic wrapper built with WrapDynamic reads its Config through a
-// Source, so a scenario engine (internal/faults) can move every open
-// connection between fault phases without re-wrapping.
-type Source func() Config
-
-// Conn wraps a net.Conn with the fault schedule in Config. Safe for one
-// concurrent reader plus one concurrent writer (the net.Conn contract).
+// Conn wraps a net.Conn with a fault schedule. Safe for one concurrent
+// reader plus one concurrent writer (the net.Conn contract).
 type Conn struct {
 	net.Conn
-	cfg Config
-	src Source // when set, overrides cfg per operation
+	sched func() ConnFaults
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -80,24 +62,13 @@ type Conn struct {
 	writes int
 }
 
-// Wrap decorates conn with the fault schedule cfg.
-func Wrap(conn net.Conn, cfg Config) *Conn {
-	return &Conn{
-		Conn: conn,
-		cfg:  cfg,
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-	}
-}
-
-// WrapDynamic decorates conn with a schedule read from src before every
-// operation; src's Seed field is ignored (the decision stream is seeded
-// once, by seed, so runs stay reproducible across phase flips).
-func WrapDynamic(conn net.Conn, seed int64, src Source) *Conn {
-	return &Conn{
-		Conn: conn,
-		src:  src,
-		rng:  rand.New(rand.NewSource(seed)),
-	}
+// WrapConn decorates conn with the schedule sched returns, consulted
+// before every operation, so a schedule that changes (an Engine's phase
+// flip, a test's toggle) moves the open connection along without
+// re-wrapping it. The decision stream is seeded once, by seed, so runs
+// stay reproducible across schedule changes.
+func WrapConn(conn net.Conn, seed int64, sched func() ConnFaults) *Conn {
+	return &Conn{Conn: conn, sched: sched, rng: rand.New(rand.NewSource(seed))}
 }
 
 // decision is one sampled fault outcome.
@@ -113,10 +84,7 @@ type decision struct {
 func (c *Conn) decide(write bool) decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cfg := c.cfg
-	if c.src != nil {
-		cfg = c.src()
-	}
+	cfg := c.sched()
 	var d decision
 	if cfg.DelayProb > 0 && c.rng.Float64() < cfg.DelayProb {
 		max := cfg.MaxDelay
@@ -201,32 +169,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// Listener wraps every accepted connection with Config, deriving a
-// distinct per-connection seed from Config.Seed so runs stay
-// reproducible without every connection sharing one fault stream.
-type Listener struct {
-	net.Listener
-	Config Config
-
-	mu sync.Mutex
-	n  int64
-}
-
-// Accept accepts from the underlying listener and wraps the connection.
-func (l *Listener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	l.n++
-	n := l.n
-	l.mu.Unlock()
-	cfg := l.Config
-	cfg.Seed = DeriveSeed(l.Config.Seed, n)
-	return Wrap(conn, cfg), nil
-}
-
 // FlakyListener injects transient accept errors: the first FailFirst
 // Accept calls fail, and with FailEvery > 0 every FailEvery-th call
 // after that fails too. Injected errors satisfy net.Error with
@@ -258,15 +200,6 @@ func (l *FlakyListener) Accept() (net.Conn, error) {
 // tempError is a transient net.Error.
 type tempError struct{}
 
-func (tempError) Error() string   { return "faultconn: transient accept error" }
+func (tempError) Error() string   { return "faults: transient accept error" }
 func (tempError) Timeout() bool   { return false }
 func (tempError) Temporary() bool { return true }
-
-// DeriveSeed maps (base, i) to an independent stream seed via the
-// splitmix64 finalizer.
-func DeriveSeed(base, i int64) int64 {
-	z := uint64(base) + uint64(i)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}

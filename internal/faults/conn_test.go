@@ -1,4 +1,4 @@
-package faultconn
+package faults
 
 import (
 	"bytes"
@@ -9,6 +9,9 @@ import (
 	"testing"
 	"time"
 )
+
+// fixed is a schedule that never changes.
+func fixed[T any](v T) func() T { return func() T { return v } }
 
 // fakeConn is an in-memory net.Conn half for write-side tests.
 type fakeConn struct {
@@ -55,7 +58,7 @@ func (f *fakeConn) SetWriteDeadline(t time.Time) error { return nil }
 
 func TestTransparentWithZeroConfig(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{})
+	c := WrapConn(fc, 0, fixed(ConnFaults{}))
 	for i := 0; i < 100; i++ {
 		if n, err := c.Write([]byte("hello")); n != 5 || err != nil {
 			t.Fatalf("write %d = %d, %v", i, n, err)
@@ -68,7 +71,7 @@ func TestTransparentWithZeroConfig(t *testing.T) {
 
 func TestDropWrite(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{Seed: 1, DropWriteProb: 1})
+	c := WrapConn(fc, 1, fixed(ConnFaults{DropWriteProb: 1}))
 	n, err := c.Write([]byte("lost report"))
 	if n != 11 || err != nil {
 		t.Fatalf("dropped write = %d, %v; want full length, nil", n, err)
@@ -80,7 +83,7 @@ func TestDropWrite(t *testing.T) {
 
 func TestPartialWriteTearsFrame(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{Seed: 1, PartialWriteProb: 1})
+	c := WrapConn(fc, 1, fixed(ConnFaults{PartialWriteProb: 1}))
 	n, err := c.Write([]byte("0123456789"))
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
@@ -95,7 +98,7 @@ func TestPartialWriteTearsFrame(t *testing.T) {
 
 func TestCloseAfterWrites(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{Seed: 1, CloseAfterWrites: 2})
+	c := WrapConn(fc, 1, fixed(ConnFaults{CloseAfterWrites: 2}))
 	for i := 0; i < 2; i++ {
 		if _, err := c.Write([]byte("ok")); err != nil {
 			t.Fatalf("write %d: %v", i, err)
@@ -111,7 +114,7 @@ func TestCloseAfterWrites(t *testing.T) {
 
 func TestReadErr(t *testing.T) {
 	fc := &fakeConn{}
-	c := Wrap(fc, Config{Seed: 1, ReadErrProb: 1})
+	c := WrapConn(fc, 1, fixed(ConnFaults{ReadErrProb: 1}))
 	if _, err := c.Read(make([]byte, 8)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read err = %v, want ErrInjected", err)
 	}
@@ -124,7 +127,7 @@ func TestReadErr(t *testing.T) {
 func TestSeededDeterminism(t *testing.T) {
 	run := func() []bool {
 		fc := &fakeConn{}
-		c := Wrap(fc, Config{Seed: 42, DropWriteProb: 0.3})
+		c := WrapConn(fc, 42, fixed(ConnFaults{DropWriteProb: 0.3}))
 		var dropped []bool
 		for i := 0; i < 200; i++ {
 			before := fc.written()
@@ -184,16 +187,6 @@ func TestFlakyListenerSchedule(t *testing.T) {
 	}
 }
 
-func TestDeriveSeedSpreads(t *testing.T) {
-	seen := make(map[int64]bool)
-	for i := int64(0); i < 100; i++ {
-		seen[DeriveSeed(1, i)] = true
-	}
-	if len(seen) != 100 {
-		t.Errorf("derived seeds collide: %d unique of 100", len(seen))
-	}
-}
-
 // TestReadStallHangsWithoutClose: a stalled read hangs for StallDur and
 // then proceeds with the real read — the transport stays open, unlike
 // every error-injecting mode. This is the half-open-peer primitive the
@@ -201,7 +194,7 @@ func TestDeriveSeedSpreads(t *testing.T) {
 func TestReadStallHangsWithoutClose(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
-	c := Wrap(client, Config{Seed: 7, ReadStallProb: 1, StallDur: 50 * time.Millisecond})
+	c := WrapConn(client, 7, fixed(ConnFaults{ReadStallProb: 1, StallDur: 50 * time.Millisecond}))
 	defer c.Close()
 	go server.Write([]byte("hi"))
 	buf := make([]byte, 2)
@@ -215,19 +208,19 @@ func TestReadStallHangsWithoutClose(t *testing.T) {
 	}
 }
 
-// TestWrapDynamicFollowsSource: a dynamic wrapper consults its Source
-// per operation, so flipping the schedule changes behavior mid-stream
+// TestWrapConnFollowsSchedule: a wrapper consults its schedule per
+// operation, so flipping the schedule changes behavior mid-stream
 // without re-wrapping the connection.
-func TestWrapDynamicFollowsSource(t *testing.T) {
+func TestWrapConnFollowsSchedule(t *testing.T) {
 	fc := &fakeConn{}
 	var mu sync.Mutex
-	cfg := Config{}
-	src := func() Config {
+	cfg := ConnFaults{}
+	src := func() ConnFaults {
 		mu.Lock()
 		defer mu.Unlock()
 		return cfg
 	}
-	c := WrapDynamic(fc, 42, src)
+	c := WrapConn(fc, 42, src)
 	if _, err := c.Write([]byte("ok")); err != nil {
 		t.Fatalf("clean write: %v", err)
 	}

@@ -1,23 +1,26 @@
-// Package faults is the unified fault-plan engine: it scripts the
-// connection-level faults of internal/protocol/faultconn and the
-// storage-level faults of internal/journal/faultfile into seeded,
-// phase-based scenarios, so chaos tests and the overload soak share one
-// declarative vocabulary instead of hand-rolled wrapper plumbing.
+// Package faults is the project's one fault-injection vocabulary. It
+// wraps connections (WrapConn) and journal segment files (WrapFile)
+// with seeded, schedulable faults — dropped, torn and delayed writes,
+// injected errors, stalled reads and mid-stream closes on the wire;
+// short writes, torn tails, flipped bits and failed fsyncs on disk —
+// and scripts them into phase-based scenarios, so chaos tests, the
+// overload soak and the s3proto churn demo subject the live controller
+// to exactly the churn the paper studies while staying reproducible.
 //
 // A Plan is a sequence of Phases, each with a duration and a fault
-// schedule; the last phase is terminal and applies forever. Plans are
-// built literally or parsed from a compact spec:
+// schedule; the last phase is terminal and applies forever, so a static
+// schedule is a one-phase plan. Plans are built literally or parsed
+// from a compact spec:
 //
 //	clean 500ms -> storm 2s drop=0.05 delay=2ms -> stall 1s stall=1 stalldur=300ms -> clean 0
 //
 // An Engine animates a plan against a clock: Start pins t0, Phase()
-// resolves the active phase, and the Listener / File wrappers decorate
-// transports and journal segments with *dynamic* fault injection that
-// consults the engine per operation — open connections and files move
+// resolves the active phase, and the Conn / File / Listener wrappers
+// consult the engine per operation — open connections and files move
 // between phases without being re-wrapped. Every probabilistic decision
 // comes from a per-connection (or per-file) seed derived from the plan
-// seed with the splitmix64 finalizer, the same discipline as
-// internal/runner.DeriveSeed, so a failing scenario replays exactly.
+// seed with internal/runner.DeriveSeed, so a failing scenario replays
+// exactly.
 package faults
 
 import (
@@ -26,11 +29,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"github.com/s3wlan/s3wlan/internal/journal/faultfile"
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
+	"github.com/s3wlan/s3wlan/internal/runner"
 )
 
 // Phase is one stage of a fault scenario.
@@ -41,19 +42,15 @@ type Phase struct {
 	// Dur is how long the phase lasts. The final phase of a plan is
 	// terminal: it applies forever regardless of Dur.
 	Dur time.Duration
-	// Conn is the connection fault schedule while the phase is active
-	// (Seed is ignored; the engine derives per-connection seeds).
-	Conn faultconn.Config
-	// File is the storage fault schedule while the phase is active
-	// (Seed is ignored; the engine derives per-file seeds).
-	File faultfile.Config
+	// Conn is the connection fault schedule while the phase is active.
+	Conn ConnFaults
+	// File is the storage fault schedule while the phase is active.
+	File FileFaults
 }
 
 // Clean reports whether the phase injects nothing.
 func (p Phase) Clean() bool {
-	c, f := p.Conn, p.File
-	c.Seed, f.Seed = 0, 0
-	return c == (faultconn.Config{}) && f == (faultfile.Config{})
+	return p.Conn == (ConnFaults{}) && p.File == (FileFaults{})
 }
 
 // Plan is a seeded fault scenario: phases applied in order, the last
@@ -143,8 +140,8 @@ func (p Phase) spec() string {
 
 // Parse builds a plan from a spec: phases separated by "->" (or ";"),
 // each "name dur key=val ...". The name is optional (auto "phaseN"),
-// "clean" names a faultless phase, and the keys mirror the faultconn /
-// faultfile schedules:
+// "clean" names a faultless phase, and the keys mirror the ConnFaults /
+// FileFaults schedules:
 //
 //	conn: drop, partial, werr, rerr, delayp, delay, closew, closer,
 //	      stall, stalldur
@@ -282,11 +279,8 @@ type Engine struct {
 
 	mu      sync.Mutex
 	start   time.Time
-	connSeq int64
-	fileSeq int64
-
-	// phaseFlips counts observed phase transitions (diagnostics).
-	lastPhase atomic.Int64
+	connSeq int
+	fileSeq int
 }
 
 // NewEngine builds an engine for plan. The clock starts at the first
@@ -325,7 +319,6 @@ func (e *Engine) Phase() Phase {
 // PhaseIndex resolves the currently active phase's index.
 func (e *Engine) PhaseIndex() int {
 	i, _ := e.plan.PhaseAt(e.Elapsed())
-	e.lastPhase.Store(int64(i))
 	return i
 }
 
@@ -341,31 +334,31 @@ func (e *Engine) AwaitPhase(i int) {
 	}
 }
 
-// ConnConfig is the faultconn schedule of the active phase — the Source
-// every dynamic connection wrapper reads.
-func (e *Engine) ConnConfig() faultconn.Config { return e.Phase().Conn }
+// ConnConfig is the connection schedule of the active phase — the
+// schedule function every engine-wrapped connection reads.
+func (e *Engine) ConnConfig() ConnFaults { return e.Phase().Conn }
 
-// FileConfig is the faultfile schedule of the active phase.
-func (e *Engine) FileConfig() faultfile.Config { return e.Phase().File }
+// FileConfig is the storage schedule of the active phase.
+func (e *Engine) FileConfig() FileFaults { return e.Phase().File }
 
-// Conn decorates conn with dynamic, engine-scheduled fault injection
-// under a fresh derived seed.
+// Conn decorates conn with engine-scheduled fault injection. The n-th
+// connection (from 1) gets seed runner.DeriveSeed(plan.Seed, n-1).
 func (e *Engine) Conn(conn net.Conn) net.Conn {
 	e.mu.Lock()
+	seed := runner.DeriveSeed(e.plan.Seed, e.connSeq)
 	e.connSeq++
-	seed := faultconn.DeriveSeed(e.plan.Seed, e.connSeq)
 	e.mu.Unlock()
-	return faultconn.WrapDynamic(conn, seed, e.ConnConfig)
+	return WrapConn(conn, seed, e.ConnConfig)
 }
 
-// File decorates sink with dynamic, engine-scheduled fault injection
-// under a fresh derived seed.
-func (e *Engine) File(sink faultfile.Sink) faultfile.Sink {
+// File decorates sink with engine-scheduled fault injection. File seeds
+// are drawn from a stream a million indices past the connections'.
+func (e *Engine) File(sink Sink) Sink {
 	e.mu.Lock()
+	seed := runner.DeriveSeed(e.plan.Seed, 1_000_000+e.fileSeq)
 	e.fileSeq++
-	seed := faultconn.DeriveSeed(e.plan.Seed, 1_000_000+e.fileSeq)
 	e.mu.Unlock()
-	return faultfile.WrapDynamic(sink, seed, e.FileConfig)
+	return WrapFile(sink, seed, e.FileConfig)
 }
 
 // Listener wraps ln so every accepted connection is engine-scheduled —

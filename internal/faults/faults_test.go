@@ -1,11 +1,10 @@
 package faults
 
 import (
+	"math/rand"
 	"net"
 	"testing"
 	"time"
-
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
 )
 
 func TestParsePlan(t *testing.T) {
@@ -180,7 +179,28 @@ func TestEngineListener(t *testing.T) {
 		t.Fatal("accept failed")
 	}
 	defer sv.Close()
-	if _, ok := sv.(*faultconn.Conn); !ok {
-		t.Fatalf("accepted conn is %T, want *faultconn.Conn", sv)
+	if _, ok := sv.(*Conn); !ok {
+		t.Fatalf("accepted conn is %T, want *Conn", sv)
+	}
+}
+
+// TestEngineSeedsStable pins the per-connection and per-file seeds: the
+// n-th connection an Engine wraps is seeded DeriveSeed(plan seed, n-1),
+// exactly the seed the static chaos listener derived for its n-th
+// accepted connection, so recorded chaos runs replay the same fault
+// streams. The expected seeds are literals, not recomputed.
+func TestEngineSeedsStable(t *testing.T) {
+	e := NewEngine(&Plan{Seed: 42})
+	for n, seed := range []int64{-4767286540954276203, 2949826092126892291, 5139283748462763858} {
+		c := e.Conn(&fakeConn{}).(*Conn)
+		if got, want := c.rng.Int63(), rand.New(rand.NewSource(seed)).Int63(); got != want {
+			t.Errorf("connection %d not seeded %d", n+1, seed)
+		}
+	}
+	for n, seed := range []int64{-5741028276819968005, -145214172877774779} {
+		f := e.File(&memSink{}).(*File)
+		if got, want := f.rng.Int63(), rand.New(rand.NewSource(seed)).Int63(); got != want {
+			t.Errorf("file %d not seeded %d", n+1, seed)
+		}
 	}
 }

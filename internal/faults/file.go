@@ -1,43 +1,33 @@
-// Package faultfile wraps a journal segment file with seeded,
-// schedulable write-path fault injection — the storage-side sibling of
-// internal/protocol/faultconn. It manufactures exactly the failures a
-// write-ahead log must survive: short writes, a torn tail at an
-// arbitrary byte offset (everything past the offset silently never
-// reaches "disk", as after a kill -9 racing the page cache), flipped
-// bits, and failed fsyncs. Every probabilistic decision comes from a
-// seeded generator, so a failing schedule replays exactly.
-package faultfile
+package faults
 
 import (
-	"errors"
 	"io"
 	"math/rand"
 	"sync"
 )
 
-// ErrInjected marks a failure manufactured by the wrapper.
-var ErrInjected = errors.New("faultfile: injected error")
-
-// Sink is the write side faultfile decorates — the same surface the
-// journal requires of its segment files.
+// Sink is the write side a File decorates — the same surface the
+// journal requires of its segment files (journal.File). It is declared
+// here rather than imported because journal's own tests inject faults
+// through this package.
 type Sink interface {
 	io.Writer
 	Sync() error
 	Close() error
 }
 
-// Config is a fault schedule. Zero values inject nothing, so Config{}
-// is a transparent wrapper.
-type Config struct {
-	// Seed seeds the decision stream.
-	Seed int64
+// FileFaults is a storage fault schedule: exactly the failures a
+// write-ahead log must survive. Zero values inject nothing, so
+// FileFaults{} is transparent.
+type FileFaults struct {
 	// ShortWriteProb truncates a write to a random strict prefix,
 	// returning the short count with ErrInjected (the io.Writer
 	// contract for incomplete writes).
 	ShortWriteProb float64
 	// TornAtByte, when > 0, silently discards every byte past that
 	// cumulative offset: writes report success but the tail never lands,
-	// leaving a torn final record for recovery to cope with.
+	// leaving a torn final record for recovery to cope with (as after a
+	// kill -9 racing the page cache).
 	TornAtByte int64
 	// BitFlipProb flips one random bit of a write's payload on its way
 	// through — the frame lands with a CRC that cannot match.
@@ -49,17 +39,10 @@ type Config struct {
 	FailSyncAfter int
 }
 
-// Source supplies a live fault schedule, consulted once per operation —
-// the hook a scenario engine (internal/faults) uses to move an open file
-// between fault phases without re-wrapping it.
-type Source func() Config
-
-// File decorates a Sink with the fault schedule in Config. Safe for
-// concurrent use.
+// File decorates a Sink with a fault schedule. Safe for concurrent use.
 type File struct {
-	sink Sink
-	cfg  Config
-	src  Source // when set, overrides cfg per operation
+	sink  Sink
+	sched func() FileFaults
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -67,24 +50,11 @@ type File struct {
 	syncs   int
 }
 
-// Wrap decorates sink with the fault schedule cfg.
-func Wrap(sink Sink, cfg Config) *File {
-	return &File{sink: sink, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// WrapDynamic decorates sink with a schedule read from src before every
-// operation; src's Seed field is ignored (the decision stream is seeded
-// once, by seed, so runs stay reproducible across phase flips).
-func WrapDynamic(sink Sink, seed int64, src Source) *File {
-	return &File{sink: sink, src: src, rng: rand.New(rand.NewSource(seed))}
-}
-
-// cfgLocked resolves the schedule for one operation. Callers hold f.mu.
-func (f *File) cfgLocked() Config {
-	if f.src != nil {
-		return f.src()
-	}
-	return f.cfg
+// WrapFile decorates sink with the schedule sched returns, consulted
+// before every operation (see WrapConn). The decision stream is seeded
+// once, by seed, so a failing schedule replays exactly.
+func WrapFile(sink Sink, seed int64, sched func() FileFaults) *File {
+	return &File{sink: sink, sched: sched, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Written returns the cumulative bytes accepted (including bytes
@@ -101,7 +71,7 @@ func (f *File) Write(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
-	cfg := f.cfgLocked()
+	cfg := f.sched()
 	if cfg.ShortWriteProb > 0 && f.rng.Float64() < cfg.ShortWriteProb {
 		n := f.rng.Intn(len(p)) // strict prefix, possibly empty
 		if n > 0 {
@@ -127,7 +97,7 @@ func (f *File) Write(p []byte) (int, error) {
 
 // writeThroughLocked forwards bytes to the sink, clipping everything at
 // and past the torn-tail offset.
-func (f *File) writeThroughLocked(cfg Config, p []byte) (int, error) {
+func (f *File) writeThroughLocked(cfg FileFaults, p []byte) (int, error) {
 	if cfg.TornAtByte > 0 {
 		remaining := cfg.TornAtByte - f.written
 		if remaining <= 0 {
@@ -146,7 +116,7 @@ func (f *File) writeThroughLocked(cfg Config, p []byte) (int, error) {
 func (f *File) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	cfg := f.cfgLocked()
+	cfg := f.sched()
 	f.syncs++
 	if cfg.FailSyncAfter > 0 && f.syncs > cfg.FailSyncAfter {
 		return ErrInjected

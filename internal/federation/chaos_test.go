@@ -12,10 +12,9 @@ import (
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/journal"
-	"github.com/s3wlan/s3wlan/internal/journal/faultfile"
 	"github.com/s3wlan/s3wlan/internal/protocol"
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -169,10 +168,10 @@ func TestFederationChaosKillRejoinOracle(t *testing.T) {
 			Journal:     journal.Options{Fsync: journal.FsyncAlways},
 			Timeout:     timeout,
 			WrapListener: func(ln net.Listener) net.Listener {
-				return &faultconn.Listener{
-					Listener: &faultconn.FlakyListener{Listener: ln, FailFirst: 1, FailEvery: 11},
-					Config:   faultconn.Config{Seed: seed, DelayProb: 0.15, MaxDelay: 2 * time.Millisecond},
-				}
+				plan := faults.MustParse("jitter 0 delayp=0.15 delay=2ms")
+				plan.Seed = seed
+				return faults.NewEngine(plan).Listener(
+					&faults.FlakyListener{Listener: ln, FailFirst: 1, FailEvery: 11})
 			},
 		})
 		if err != nil {
@@ -382,7 +381,8 @@ func TestFederationTornTailTakeover(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return faultfile.Wrap(f, faultfile.Config{TornAtByte: 600}), nil
+			tear := func() faults.FileFaults { return faults.FileFaults{TornAtByte: 600} }
+			return faults.WrapFile(f, 0, tear), nil
 		},
 	})
 	healthy := build("node-1", journal.Options{Fsync: journal.FsyncAlways})

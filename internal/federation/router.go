@@ -143,9 +143,13 @@ func (n *Node) route(conn *protocol.Conn) {
 	// counts a Failure. A session's eventual teardown never touches the
 	// breaker — pumps failing because the owner died later is the next
 	// establishment attempt's news, and a long session ending cleanly
-	// must not reset a breaker that tripped in the meantime.
-	if !n.relay(conn, hello, l.Addr, br.Success) {
+	// must not reset a breaker that tripped in the meantime. A failure
+	// is recorded before the peer hears of it, so a peer that redials at
+	// once meets the breaker's updated state.
+	if err := n.relay(conn, hello, l.Addr, br.Success); err != nil {
 		br.Failure()
+		obsRelayErrors.Inc()
+		conn.Send(protocol.Message{Type: protocol.MsgError, Error: err.Error()})
 	}
 }
 
@@ -168,43 +172,34 @@ func (n *Node) breakerCooldown() time.Duration {
 // The group's circuit breaker feeds off the *establishment* outcome:
 // established() fires as soon as the owner produces its first reply
 // batch (the hello ack or a policy error — either proves a live
-// owner), and the false return marks a relay that never got there —
+// owner), and a returned error marks a relay that never got there —
 // the owner could not be dialed, refused the hello, or sat silent past
-// the relay deadline. Waiting for the first reply is what makes a
+// the relay deadline; the caller records it and tells the peer. Waiting for the first reply is what makes a
 // *stalled* owner — one that accepts connections and then hangs —
 // count against the breaker budget instead of passing for healthy.
 // Nothing after establishment reports to the breaker: relay() itself
 // returns only at session end, far too late for a half-open probe's
 // verdict, and a session outliving its owner must not reset a breaker
 // that correctly tripped while the session ran.
-func (n *Node) relay(client *protocol.Conn, hello protocol.Message, addr string, established func()) bool {
+func (n *Node) relay(client *protocol.Conn, hello protocol.Message, addr string, established func()) error {
 	obsRelays.Inc()
 	raw, err := net.DialTimeout("tcp", addr, n.cfg.Timeout)
 	if err != nil {
-		obsRelayErrors.Inc()
-		client.Send(protocol.Message{Type: protocol.MsgError,
-			Error: fmt.Sprintf("group owner unreachable: %v", err)})
-		return false
+		return fmt.Errorf("group owner unreachable: %v", err)
 	}
 	owner := protocol.NewConnCodec(raw, n.cfg.Timeout, protocol.CodecBinary)
 	defer owner.Close()
 	if err := owner.Send(hello); err != nil {
-		obsRelayErrors.Inc()
-		client.Send(protocol.Message{Type: protocol.MsgError,
-			Error: fmt.Sprintf("relay hello: %v", err)})
-		return false
+		return fmt.Errorf("relay hello: %v", err)
 	}
 	first, err := owner.ReceiveBatch(nil)
 	if err != nil {
-		obsRelayErrors.Inc()
-		client.Send(protocol.Message{Type: protocol.MsgError,
-			Error: fmt.Sprintf("relay: owner unresponsive: %v", err)})
-		return false
+		return fmt.Errorf("relay: owner unresponsive: %v", err)
 	}
 	established()
 	if err := client.SendBatch(first); err != nil {
 		obsRelayErrors.Inc()
-		return true // the owner is fine; the client side failed
+		return nil // the owner is fine; the client side failed
 	}
 
 	// Downstream pump (owner → client) runs aside; the upstream pump
@@ -221,7 +216,7 @@ func (n *Node) relay(client *protocol.Conn, hello protocol.Message, addr string,
 	}
 	owner.Close()
 	<-done
-	return true
+	return nil
 }
 
 // pump copies message batches from src to dst until either side fails.

@@ -115,7 +115,7 @@ type Placement struct {
 
 // Record is one journaled mutation. Seq is assigned by Append and is
 // strictly increasing across segments and checkpoints. Epoch is the
-// writer's ownership generation (Options.Epoch / SetEpoch): in a
+// writer's ownership generation (Options.Epoch): in a
 // federated deployment every cross-process failover bumps it, so a
 // follower tailing the stream can fence out records a superseded owner
 // wrote after losing its lease. Single-owner journals leave it zero,
@@ -177,7 +177,7 @@ func (p FsyncPolicy) String() string {
 
 // File is the subset of *os.File the journal writes segments through.
 // Options.OpenFile may substitute a fault-injecting implementation
-// (see journal/faultfile).
+// (see internal/faults).
 type File interface {
 	io.Writer
 	Sync() error
@@ -311,22 +311,6 @@ func (j *Journal) Seq() uint64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.seq
-}
-
-// Epoch returns the writer's current ownership generation.
-func (j *Journal) Epoch() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.epoch
-}
-
-// SetEpoch changes the ownership generation stamped into subsequent
-// records — a federated owner bumps it when it re-acquires a lease at a
-// higher epoch without reopening the journal.
-func (j *Journal) SetEpoch(e uint64) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.epoch = e
 }
 
 // Dir returns the journal directory.

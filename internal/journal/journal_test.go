@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/s3wlan/s3wlan/internal/journal/faultfile"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/trace"
 )
 
@@ -409,8 +409,13 @@ func TestFsyncIntervalFlushes(t *testing.T) {
 	}
 }
 
+// faultyFile wraps f with a fixed storage fault schedule.
+func faultyFile(f *os.File, seed int64, ff faults.FileFaults) File {
+	return faults.WrapFile(f, seed, func() faults.FileFaults { return ff })
+}
+
 // TestFaultfileTornTail injects a torn tail at an awkward byte offset
-// through the faultfile wrapper: recovery returns exactly the records
+// through the fault-injecting file wrapper: recovery returns exactly the records
 // whose frames landed in full, and reports the tear.
 func TestFaultfileTornTail(t *testing.T) {
 	// First pass: measure clean frame sizes.
@@ -451,7 +456,7 @@ func TestFaultfileTornTail(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return faultfile.Wrap(f, faultfile.Config{TornAtByte: tearAt}), nil
+			return faultyFile(f, 0, faults.FileFaults{TornAtByte: tearAt}), nil
 		},
 	})
 	if err != nil {
@@ -492,7 +497,7 @@ func TestFaultfileBitFlips(t *testing.T) {
 				if err != nil {
 					return nil, err
 				}
-				return faultfile.Wrap(f, faultfile.Config{Seed: seed, BitFlipProb: 0.08}), nil
+				return faultyFile(f, seed, faults.FileFaults{BitFlipProb: 0.08}), nil
 			},
 		})
 		if err != nil {
@@ -539,7 +544,7 @@ func TestFaultfileShortWrite(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return faultfile.Wrap(f, faultfile.Config{Seed: 7, ShortWriteProb: 0.2}), nil
+			return faultyFile(f, 7, faults.FileFaults{ShortWriteProb: 0.2}), nil
 		},
 	})
 	if err != nil {

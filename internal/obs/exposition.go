@@ -8,7 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // The Prometheus text exposition format, version 0.0.4:
@@ -198,13 +197,4 @@ func init() {
 	// on the default mux: every binary that serves -pprof gets the
 	// Prometheus surface on the same port.
 	http.Handle("/metrics", Handler())
-}
-
-// HistogramBounds returns the (shared) histogram bucket upper bounds;
-// the final bucket is unbounded. Exposed for tooling (s3diag labels
-// flight-recorder bucket columns with these).
-func HistogramBounds() []time.Duration {
-	out := make([]time.Duration, len(histBounds))
-	copy(out, histBounds)
-	return out
 }

@@ -17,7 +17,7 @@ var obsAgentReconnects = obs.GetCounter("protocol.agent.reconnects",
 	"Successful AP-agent reconnections after a lost connection")
 
 // Dialer opens the transport connection for a client. Overriding it lets
-// tests and the chaos demo inject faulty transports (e.g. faultconn).
+// tests and the chaos demo inject faulty transports (internal/faults).
 type Dialer func(addr string, timeout time.Duration) (net.Conn, error)
 
 func defaultDial(addr string, timeout time.Duration) (net.Conn, error) {
@@ -284,11 +284,8 @@ func DialAPGroup(addr string, aps []APSpec, timeout time.Duration) (*APGroup, er
 	return g, nil
 }
 
-// IDs returns the group's registered AP IDs in registration order.
-func (g *APGroup) IDs() []trace.APID { return g.ids }
-
 // ReportAll sends one load report per AP in a single coalesced frame;
-// loads is indexed like IDs.
+// loads is indexed like the aps passed to DialAPGroup.
 func (g *APGroup) ReportAll(loads []float64) error {
 	if len(loads) != len(g.ids) {
 		return fmt.Errorf("protocol: group report: %d loads for %d APs", len(loads), len(g.ids))

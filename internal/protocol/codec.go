@@ -43,7 +43,7 @@ import (
 // Codec-boundary health counters: how peers negotiated their codec, and
 // what the ingress validation rejected.
 var (
-	obsConnsJSON   = obs.GetCounter("protocol.conns.json", "Server connections speaking the JSON-lines codec (sniffed or JSON-only port)")
+	obsConnsJSON   = obs.GetCounter("protocol.conns.json", "Server connections speaking the JSON-lines codec (sniffed by first byte)")
 	obsConnsBinary = obs.GetCounter("protocol.conns.binary", "Server connections speaking the binary framed codec (sniffed by first byte)")
 	obsCRCErrors   = obs.GetCounter("protocol.codec.crc_errors", "Binary frames dropped for a CRC-32C mismatch")
 	obsMsgRejected = obs.GetCounter("protocol.msg.rejected", "Messages rejected at the codec boundary (hostile numerics or malformed fields)")
@@ -58,7 +58,7 @@ const (
 	// it.
 	CodecBinary Codec = iota
 	// CodecJSON is the line-delimited JSON encoding — the debugging and
-	// backward-compatibility codec (-json-port).
+	// backward-compatibility codec, sniffed on the same port as binary.
 	CodecJSON
 )
 

@@ -1,7 +1,9 @@
 package protocol
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math"
 	"net"
 	"strings"
@@ -129,14 +131,10 @@ func TestSendBatchCoalesces(t *testing.T) {
 }
 
 // TestCodecSniffing: the main port serves binary and JSON peers side by
-// side; the JSON-only port rejects binary frames.
+// side.
 func TestCodecSniffing(t *testing.T) {
 	c, addr := startController(t, baseline.LLF{})
 	if err := c.RegisterAP("ap1", 0); err != nil {
-		t.Fatal(err)
-	}
-	jaddr, err := c.ListenJSON("127.0.0.1:0")
-	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -158,19 +156,37 @@ func TestCodecSniffing(t *testing.T) {
 	if _, err := js.Associate(10); err != nil {
 		t.Fatal(err)
 	}
-	// JSON station on the JSON-only port.
-	cs, err := DialStationCodec(defaultDial, jaddr, "u-compat", testTimeout, CodecJSON)
-	if err != nil {
-		t.Fatalf("JSON station on JSON port: %v", err)
-	}
-	defer cs.Close()
-	if _, err := cs.Associate(10); err != nil {
+}
+
+// TestJSONLinesLiteralBytes: a peer with no client library — netcat, a
+// shell script — speaks hand-written JSON lines to the main port and
+// reads JSON lines back.
+func TestJSONLinesLiteralBytes(t *testing.T) {
+	c, addr := startController(t, baseline.LLF{})
+	if err := c.RegisterAP("ap1", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Binary frames on the JSON-only port are refused.
-	if st, err := DialStationCodec(defaultDial, jaddr, "u-nope", testTimeout, CodecBinary); err == nil {
-		st.Close()
-		t.Error("binary station accepted on JSON-only port")
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.SetDeadline(time.Now().Add(testTimeout))
+	lines := bufio.NewReader(raw)
+	for _, step := range []struct{ send, want string }{
+		{`{"type":"hello","role":"station","id":"u-nc"}` + "\n", `"type":"hello_ok"`},
+		{`{"type":"assoc","user":"u-nc","demand_bps":10}` + "\n", `{"type":"assign","user":"u-nc","ap":"ap1"}`},
+	} {
+		if _, err := io.WriteString(raw, step.send); err != nil {
+			t.Fatal(err)
+		}
+		got, err := lines.ReadString('\n')
+		if err != nil {
+			t.Fatalf("after %s: %v", step.send, err)
+		}
+		if !strings.Contains(got, step.want) {
+			t.Fatalf("after %s got %q, want it to contain %s", step.send, got, step.want)
+		}
 	}
 }
 

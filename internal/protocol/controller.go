@@ -328,30 +328,12 @@ func (c *Controller) Listen(addr string) (string, error) {
 	return c.Serve(ln), nil
 }
 
-// ListenJSON starts a JSON-only listener on addr — the debugging and
-// backward-compatibility port (-json-port). Binary frames are rejected
-// with a clear error instead of being sniffed.
-func (c *Controller) ListenJSON(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("protocol: listen: %w", err)
-	}
-	return c.ServeJSON(ln), nil
-}
-
 // Serve starts accepting peers on an externally created listener and
 // returns its address. It allows wrapping the listener (e.g. with
-// faultconn fault injection) before handing it to the controller. Each
+// internal/faults injection) before handing it to the controller. Each
 // connection's codec is sniffed from its first byte: the journal frame
 // magic selects the binary codec, anything else is JSON lines.
-func (c *Controller) Serve(ln net.Listener) string { return c.serve(ln, true) }
-
-// ServeJSON is Serve for a JSON-only listener (see ListenJSON). A
-// controller may serve a negotiated port and a JSON-only port at once;
-// Close stops both.
-func (c *Controller) ServeJSON(ln net.Listener) string { return c.serve(ln, false) }
-
-func (c *Controller) serve(ln net.Listener, allowBinary bool) string {
+func (c *Controller) Serve(ln net.Listener) string {
 	c.mu.Lock()
 	if c.stop == nil || c.closed {
 		// First listener of a serving epoch: fresh stop channel, fresh
@@ -368,7 +350,7 @@ func (c *Controller) serve(ln net.Listener, allowBinary bool) string {
 	c.listeners = append(c.listeners, ln)
 	c.mu.Unlock()
 	c.wg.Add(1)
-	go c.acceptLoop(ln, stop, allowBinary)
+	go c.acceptLoop(ln, stop)
 	return ln.Addr().String()
 }
 
@@ -392,7 +374,7 @@ func (c *Controller) refreshLoop(stop chan struct{}) {
 // with capped exponential backoff instead of killing the listener: the
 // loop exits only when the controller is closed or the listener reports
 // it is no longer usable.
-func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}, allowBinary bool) {
+func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}) {
 	defer c.wg.Done()
 	const (
 		baseBackoff = 5 * time.Millisecond
@@ -431,7 +413,7 @@ func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}, allowBinary
 			c.wg.Add(1)
 			go func() {
 				defer c.wg.Done()
-				sc := newServerConn(conn, shedTimeout, allowBinary)
+				sc := newServerConn(conn, shedTimeout)
 				defer ContainPanic(c.logger, sc)
 				c.shed(sc, "connection limit reached")
 			}()
@@ -450,7 +432,7 @@ func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}, allowBinary
 				c.active.Add(-1)
 				obsConnsActive.Add(-1)
 			}()
-			sc := newServerConn(conn, c.timeout, allowBinary)
+			sc := newServerConn(conn, c.timeout)
 			defer ContainPanic(c.logger, sc)
 			c.handle(sc)
 		}()
@@ -459,7 +441,7 @@ func (c *Controller) acceptLoop(ln net.Listener, stop chan struct{}, allowBinary
 
 // shed refuses one connection with MsgBusy and closes it. The peer's
 // codec is sniffed first (under the shed deadline) so the refusal is
-// legible on both ports; a peer that sends nothing just gets the close.
+// legible in either codec; a peer that sends nothing just gets the close.
 // The MsgBusy write runs under the same deadline, so a stalled client
 // cannot block the shedding goroutine.
 func (c *Controller) shed(conn *Conn, reason string) {

@@ -32,7 +32,7 @@
 // reconnects, rejected traffic) are exported through internal/obs under
 // the protocol.* prefix.
 //
-// The faultconn subpackage wraps connections and listeners with seeded
+// Package internal/faults wraps connections and listeners with seeded
 // fault injection (drops, torn frames, delays, mid-stream closes,
 // transient accept errors) for the lifecycle tests and the s3proto
 // chaos soak.

@@ -153,7 +153,7 @@ func (c *Controller) DetachJournal() error {
 // federation router uses for connections it accepts itself before
 // deciding whether to serve or relay them.
 func NewServerConn(raw net.Conn, timeout time.Duration) *Conn {
-	return newServerConn(raw, timeout, true)
+	return newServerConn(raw, timeout)
 }
 
 // JournalSeq reports the last sequence number this controller's

@@ -144,7 +144,7 @@ func TestReceiveBatchRoundtrip(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	src := NewConnCodec(a, time.Second, CodecBinary)
-	dst := newServerConn(b, time.Second, true)
+	dst := newServerConn(b, time.Second)
 
 	batch := []Message{
 		{Type: MsgHello, Role: RoleAP, ID: "ap-1", CapacityBps: 1e6},

@@ -14,8 +14,8 @@ import (
 	"time"
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
+	"github.com/s3wlan/s3wlan/internal/faults"
 	"github.com/s3wlan/s3wlan/internal/journal"
-	"github.com/s3wlan/s3wlan/internal/protocol/faultconn"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
 )
@@ -365,7 +365,7 @@ func TestTrafficCreditedToAssignedAP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	conn := NewConn(raw, testTimeout)
+	conn := NewConnCodec(raw, testTimeout, CodecJSON)
 	if err := conn.Send(Message{Type: MsgHello, Role: RoleStation, ID: "u1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +397,7 @@ func TestTrafficCreditedToAssignedAP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw2.Close()
-	conn2 := NewConn(raw2, testTimeout)
+	conn2 := NewConnCodec(raw2, testTimeout, CodecJSON)
 	if err := conn2.Send(Message{Type: MsgHello, Role: RoleStation, ID: "u2"}); err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestAcceptLoopSurvivesTransientErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obsAcceptRetries.Value()
-	addr := c.Serve(&faultconn.FlakyListener{Listener: ln, FailFirst: 3})
+	addr := c.Serve(&faults.FlakyListener{Listener: ln, FailFirst: 3})
 	t.Cleanup(func() { c.Close() })
 	if err := c.RegisterAP("ap1", 0); err != nil {
 		t.Fatal(err)
@@ -543,18 +543,9 @@ func TestChaosSoakRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := c.Serve(&faultconn.Listener{
-		Listener: ln,
-		Config: faultconn.Config{
-			Seed:             42,
-			DropWriteProb:    0.02,
-			PartialWriteProb: 0.02,
-			ReadErrProb:      0.02,
-			DelayProb:        0.05,
-			MaxDelay:         time.Millisecond,
-			CloseAfterReads:  40,
-		},
-	})
+	plan := faults.MustParse("chaos 0 drop=0.02 partial=0.02 rerr=0.02 delayp=0.05 delay=1ms closer=40")
+	plan.Seed = 42
+	addr := c.Serve(faults.NewEngine(plan).Listener(ln))
 	t.Cleanup(func() { c.Close() })
 	// One static AP guarantees associations have a target even while
 	// every agent connection happens to be down.

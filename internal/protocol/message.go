@@ -77,22 +77,6 @@ type Message struct {
 	RetryAfterMs int64 `json:"retry_after_ms,omitempty"`
 }
 
-// connMode selects how a Conn resolves its codec.
-type connMode int
-
-const (
-	// modeClient speaks the codec it was constructed with.
-	modeClient connMode = iota
-	// modeServerSniff detects the peer's codec from the first byte: a
-	// binary frame always starts with 0xF5 (non-ASCII, impossible as the
-	// first byte of a JSON document).
-	modeServerSniff
-	// modeServerJSON is a JSON-only server port (-json-port): a binary
-	// first byte is rejected with a clear error instead of a JSON parse
-	// failure.
-	modeServerJSON
-)
-
 // Conn wraps a net.Conn with message framing and I/O deadlines. It
 // speaks one of two codecs: line-delimited JSON (debugging, backward
 // compatibility) or the framed binary codec (the data-plane default;
@@ -109,7 +93,10 @@ type Conn struct {
 	timeout time.Duration
 
 	codec Codec
-	mode  connMode
+	// sniff is set on a server conn until its codec is resolved from the
+	// peer's first byte: a binary frame always starts with 0xF5
+	// (non-ASCII, impossible as the first byte of a JSON document).
+	sniff bool
 
 	queue   []Message // decoded messages of the current binary frame
 	qpos    int       // next undelivered index into queue
@@ -119,36 +106,26 @@ type Conn struct {
 	hdr     [journal.FrameHeaderLen]byte
 }
 
-// NewConn wraps raw as a JSON-lines client connection. timeout bounds
-// each read/write (0 = no deadline). Kept for backward compatibility;
-// NewConnCodec selects the codec explicitly.
-func NewConn(raw net.Conn, timeout time.Duration) *Conn {
-	return NewConnCodec(raw, timeout, CodecJSON)
-}
-
 // NewConnCodec wraps raw as a client connection speaking codec.
+// timeout bounds each read/write (0 = no deadline).
 func NewConnCodec(raw net.Conn, timeout time.Duration, codec Codec) *Conn {
-	return newConn(raw, timeout, codec, modeClient)
+	return newConn(raw, timeout, codec, false)
 }
 
-// newServerConn wraps an accepted connection. With allowBinary the codec
-// is sniffed from the first byte; otherwise the port is JSON-only.
-func newServerConn(raw net.Conn, timeout time.Duration, allowBinary bool) *Conn {
-	if allowBinary {
-		return newConn(raw, timeout, CodecJSON, modeServerSniff)
-	}
-	obsConnsJSON.Inc()
-	return newConn(raw, timeout, CodecJSON, modeServerJSON)
+// newServerConn wraps an accepted connection; its codec is sniffed from
+// the peer's first byte.
+func newServerConn(raw net.Conn, timeout time.Duration) *Conn {
+	return newConn(raw, timeout, CodecJSON, true)
 }
 
-func newConn(raw net.Conn, timeout time.Duration, codec Codec, mode connMode) *Conn {
+func newConn(raw net.Conn, timeout time.Duration, codec Codec, sniff bool) *Conn {
 	c := &Conn{
 		raw:     raw,
 		br:      bufio.NewReaderSize(raw, 4096),
 		bw:      bufio.NewWriterSize(raw, 4096),
 		timeout: timeout,
 		codec:   codec,
-		mode:    mode,
+		sniff:   sniff,
 	}
 	c.enc = json.NewEncoder(c.bw)
 	return c
@@ -257,7 +234,7 @@ func (c *Conn) Receive() (Message, error) {
 			return Message{}, fmt.Errorf("protocol: set read deadline: %w", err)
 		}
 	}
-	if c.mode != modeClient {
+	if c.sniff {
 		if err := c.resolveCodec(); err != nil {
 			return Message{}, err
 		}
@@ -273,7 +250,7 @@ func (c *Conn) Receive() (Message, error) {
 // path uses it so a MsgBusy refusal is written in the codec the peer
 // actually speaks. No-op on client conns and after the codec resolved.
 func (c *Conn) Sniff() error {
-	if c.mode == modeClient {
+	if !c.sniff {
 		return nil
 	}
 	if c.timeout > 0 {
@@ -284,8 +261,8 @@ func (c *Conn) Sniff() error {
 	return c.resolveCodec()
 }
 
-// resolveCodec sniffs (or, on a JSON-only port, polices) the peer's
-// codec from its first byte. Runs once per connection.
+// resolveCodec sniffs the peer's codec from its first byte. Runs once
+// per connection.
 func (c *Conn) resolveCodec() error {
 	first, err := c.br.Peek(1)
 	if err != nil {
@@ -294,21 +271,13 @@ func (c *Conn) resolveCodec() error {
 		}
 		return fmt.Errorf("protocol: receive: %w", err)
 	}
-	isBinary := first[0] == binaryFirstByte
-	switch c.mode {
-	case modeServerSniff:
-		if isBinary {
-			c.codec = CodecBinary
-			obsConnsBinary.Inc()
-		} else {
-			obsConnsJSON.Inc()
-		}
-	case modeServerJSON:
-		if isBinary {
-			return fmt.Errorf("protocol: binary frame on JSON-only port")
-		}
+	if first[0] == binaryFirstByte {
+		c.codec = CodecBinary
+		obsConnsBinary.Inc()
+	} else {
+		obsConnsJSON.Inc()
 	}
-	c.mode = modeClient
+	c.sniff = false
 	return nil
 }
 

@@ -238,7 +238,7 @@ func TestBadHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	conn := NewConn(raw, testTimeout)
+	conn := NewConnCodec(raw, testTimeout, CodecJSON)
 	// Wrong first message type.
 	if err := conn.Send(Message{Type: MsgReport}); err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestUnknownRoleRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	conn := NewConn(raw, testTimeout)
+	conn := NewConnCodec(raw, testTimeout, CodecJSON)
 	if err := conn.Send(Message{Type: MsgHello, Role: "bogus", ID: "x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -329,14 +329,14 @@ func TestMessageRoundTrip(t *testing.T) {
 	defer client.Close()
 	defer server.Close()
 	go func() {
-		c := NewConn(server, 0)
+		c := NewConnCodec(server, 0, CodecJSON)
 		m, err := c.Receive()
 		if err != nil {
 			return
 		}
 		_ = c.Send(m) // echo
 	}()
-	c := NewConn(client, 0)
+	c := NewConnCodec(client, 0, CodecJSON)
 	want := Message{Type: MsgAssign, User: "u", AP: "ap1", DemandBps: 42.5}
 	if err := c.Send(want); err != nil {
 		t.Fatal(err)

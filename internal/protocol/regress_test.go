@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -354,8 +355,10 @@ func TestBinaryPortCrashRecovery(t *testing.T) {
 	}
 	// The stations are deliberately left open and never closed: a close
 	// would disassociate the user (and journal it) — a kill -9 freezes
-	// the world with every association live. The leaked connections die
-	// with the test process.
+	// the world with every association live. They stay reachable until
+	// the test returns, since the finalizer of a collected connection
+	// would close it; the leaked connections die with the test process.
+	var stations []*Station
 	for i := 0; i < 6; i++ {
 		st, err := DialStation(addr, trace.UserID(fmt.Sprintf("u-%d", i)), testTimeout)
 		if err != nil {
@@ -364,7 +367,9 @@ func TestBinaryPortCrashRecovery(t *testing.T) {
 		if _, err := st.Associate(float64(50 * (i + 1))); err != nil {
 			t.Fatal(err)
 		}
+		stations = append(stations, st)
 	}
+	defer runtime.KeepAlive(stations)
 	wantState, err := json.Marshal(a.dom.ExportState())
 	if err != nil {
 		t.Fatal(err)

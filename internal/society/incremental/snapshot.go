@@ -272,6 +272,3 @@ func (s *Snapshot) ComponentOf(u trace.UserID) []trace.UserID {
 	}
 	return nil
 }
-
-// Age returns how long ago the snapshot was published.
-func (s *Snapshot) Age() time.Duration { return time.Since(s.BuiltAt) }
