@@ -1,16 +1,22 @@
 // Package domain is the shared association-domain core: the one place
 // in the repository that holds AP registry state, per-AP load and user
 // accounting, capacity admission, view snapshotting for association
-// policies, versioned check-and-retry commits, and session-log emission.
+// policies, versioned check-and-retry commits, and every live session.
 //
 // # Placement table
 //
 // Who sits where is stored once, in a user → seats table; a seat is an
-// AP plus the believed demand held there. APs keep aggregates only, so
-// a view copies O(APs) values whatever the resident count, and Commit,
-// Leave and LeaveAll are O(1) table updates. Policies ask AppendSeats
-// where a given user sits; Info, ExportState and the evictions derive
-// membership from the table in one pass, sorted by user ID.
+// AP, the believed demand held there, and the session on it: when it
+// started and the bytes served since. A new seat or a move starts a
+// session at the placement's TS; a same-AP refresh keeps it; Credit adds
+// served bytes. The live controller keeps no per-user state of its own:
+// its session log, checkpoints and journal replay all read the seats,
+// and RemoveAP, SetFailed and LeaveAll hand back the seats they close.
+// APs keep aggregates only, so a view copies O(APs) values whatever the
+// resident count, and Commit, Leave and LeaveAll are O(1) table updates.
+// Policies ask AppendSeats where a given user sits; Info, ExportState
+// and the evictions derive membership from the table in one pass,
+// sorted by user ID.
 //
 // Both execution paths are thin drivers over it — the batch simulator
 // (internal/wlan) replays a trace through a Domain per controller, and

@@ -2,10 +2,8 @@ package domain
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"sort"
@@ -169,8 +167,12 @@ type Placement struct {
 	// Prev, when non-empty, names an AP the user must be fully removed
 	// from in the same atomic commit — a re-association move. The
 	// removal and the placement land under the same two-phase lock, so
-	// a user is never observably on two APs or on none.
+	// a user is never observably on two APs or on none. Prev == AP is a
+	// refresh: the demand is replaced and the session kept.
 	Prev trace.APID
+	// TS is the placement's time; a new seat or a move starts its
+	// session at TS.
+	TS int64
 }
 
 // CommitResult reports what a commit did beyond succeeding.
@@ -182,18 +184,23 @@ type CommitResult struct {
 }
 
 // Eviction is one user removed from an AP by a structural event (AP
-// failure or removal), with the believed demand they held.
+// failure or removal): the seat they held there, closed.
 type Eviction struct {
 	User      trace.UserID
 	DemandBps float64
+	Start     int64
+	Bytes     int64
 }
 
-// Seat is one place a user sits: an AP and the believed demand held
-// there. Only the simulator's multi-session semantics give a user more
-// than one; concurrent sessions on one AP share one seat.
+// Seat is one place a user sits: an AP, the believed demand held there,
+// and the session on it — when it started and the bytes served since.
+// Only the simulator's multi-session semantics give a user more than
+// one; concurrent sessions on one AP share one seat.
 type Seat struct {
 	AP        trace.APID
 	DemandBps float64
+	Start     int64
+	Bytes     int64
 }
 
 // APInfo is one AP's externally visible state (Snapshot/inspection).
@@ -217,10 +224,6 @@ type Config struct {
 	// RSSI supplies the per-(user, AP) signal strength views carry;
 	// defaults to SyntheticRSSI.
 	RSSI func(u trace.UserID, ap trace.APID) float64
-	// SessionLog, when non-nil, receives one JSON record per completed
-	// association through LogSession — the "back-end data center" login
-	// log the paper's measurement study is built from.
-	SessionLog io.Writer
 	// ObsName, when non-empty, registers per-shard gauges
 	// (domain.<name>.shard<i>.aps / .users) kept current on every
 	// structural change. Leave empty for throwaway domains (experiment
@@ -278,33 +281,33 @@ type seatStripe struct {
 	extra map[trace.UserID][]Seat // seats beyond the first (simulator only)
 }
 
-// find returns u's demand on ap.
-func (t *seatStripe) find(u trace.UserID, ap trace.APID) (float64, bool) {
+// find returns u's seat on ap.
+func (t *seatStripe) find(u trace.UserID, ap trace.APID) (Seat, bool) {
 	if s, ok := t.first[u]; ok && s.AP == ap {
-		return s.DemandBps, true
+		return s, true
 	}
 	for _, s := range t.extra[u] {
 		if s.AP == ap {
-			return s.DemandBps, true
+			return s, true
 		}
 	}
-	return 0, false
+	return Seat{}, false
 }
 
-// put sets u's demand on ap, adding the seat when u holds none there.
-func (t *seatStripe) put(u trace.UserID, ap trace.APID, demandBps float64) {
-	if s, ok := t.first[u]; !ok || s.AP == ap {
-		t.first[u] = Seat{AP: ap, DemandBps: demandBps}
+// put stores s as u's seat on s.AP, adding it when u holds none there.
+func (t *seatStripe) put(u trace.UserID, s Seat) {
+	if f, ok := t.first[u]; !ok || f.AP == s.AP {
+		t.first[u] = s
 		return
 	}
 	more := t.extra[u]
 	for i := range more {
-		if more[i].AP == ap {
-			more[i].DemandBps = demandBps
+		if more[i].AP == s.AP {
+			more[i] = s
 			return
 		}
 	}
-	t.extra[u] = append(more, Seat{AP: ap, DemandBps: demandBps})
+	t.extra[u] = append(more, s)
 }
 
 // drop removes u's seat on ap, if any.
@@ -338,9 +341,6 @@ type Domain struct {
 	seats  []*seatStripe // the placement table, one stripe per shard
 	mode   LoadMode
 	rssi   func(trace.UserID, trace.APID) float64
-
-	logMu      sync.Mutex
-	sessionLog *json.Encoder
 }
 
 // New builds a Domain.
@@ -358,9 +358,6 @@ func New(cfg Config) *Domain {
 		seats:  make([]*seatStripe, n),
 		mode:   cfg.Mode,
 		rssi:   rssi,
-	}
-	if cfg.SessionLog != nil {
-		d.sessionLog = json.NewEncoder(cfg.SessionLog)
 	}
 	for i := range d.shards {
 		sh := &shard{aps: make(map[trace.APID]*apState)}
@@ -414,6 +411,60 @@ func (d *Domain) AppendSeats(dst []Seat, u trace.UserID) []Seat {
 	return dst
 }
 
+// SeatOf returns u's first seat — the live controller's one seat per
+// user — allocating nothing.
+func (d *Domain) SeatOf(u trace.UserID) (Seat, bool) {
+	t := d.stripeOf(u)
+	t.mu.RLock()
+	s, ok := t.first[u]
+	t.mu.RUnlock()
+	return s, ok
+}
+
+// Credit adds bytes served to u's first seat and returns its AP; ok is
+// false when u holds no seat. Traffic is not structural: no shard
+// version moves.
+func (d *Domain) Credit(u trace.UserID, bytes int64) (ap trace.APID, ok bool) {
+	t := d.stripeOf(u)
+	t.mu.Lock()
+	s, ok := t.first[u]
+	if ok {
+		s.Bytes += bytes
+		t.first[u] = s
+	}
+	t.mu.Unlock()
+	return s.AP, ok
+}
+
+// SetSession restores the session on u's first seat (a checkpoint's
+// start time and served bytes); false when u holds no seat.
+func (d *Domain) SetSession(u trace.UserID, start, bytes int64) bool {
+	t := d.stripeOf(u)
+	t.mu.Lock()
+	s, ok := t.first[u]
+	if ok {
+		s.Start, s.Bytes = start, bytes
+		t.first[u] = s
+	}
+	t.mu.Unlock()
+	return ok
+}
+
+// EachSeat calls fn for every seat in the table, one stripe at a time
+// under its read lock; fn must not call back into the domain.
+func (d *Domain) EachSeat(fn func(u trace.UserID, s Seat)) {
+	for _, t := range d.seats {
+		t.mu.RLock()
+		for u, s := range t.first {
+			fn(u, s)
+			for _, x := range t.extra[u] {
+				fn(u, x)
+			}
+		}
+		t.mu.RUnlock()
+	}
+}
+
 // AddAP registers an AP. Duplicate IDs error.
 func (d *Domain) AddAP(id trace.APID, capacityBps float64) error {
 	if id == "" {
@@ -446,8 +497,9 @@ func (d *Domain) withAP(id trace.APID, fn func(sh *shard, st *apState)) bool {
 	return ok
 }
 
-// RemoveAP deletes an AP and returns its evicted users (sorted) for the
-// caller to re-home. ok is false when the AP is unknown.
+// RemoveAP deletes an AP and returns its evicted users (sorted) with the
+// seats they held, for the caller to close their sessions and re-home
+// them. ok is false when the AP is unknown.
 func (d *Domain) RemoveAP(id trace.APID) (evicted []Eviction, ok bool) {
 	ok = d.withAP(id, func(sh *shard, st *apState) {
 		evicted = d.drain(st)
@@ -579,21 +631,11 @@ func (d *Domain) seatsOn(aps ...*apState) map[trace.APID][]Eviction {
 	for _, st := range aps {
 		out[st.id] = make([]Eviction, 0, st.numUsers)
 	}
-	add := func(u trace.UserID, s Seat) {
+	d.EachSeat(func(u trace.UserID, s Seat) {
 		if l, ok := out[s.AP]; ok {
-			out[s.AP] = append(l, Eviction{User: u, DemandBps: s.DemandBps})
+			out[s.AP] = append(l, Eviction{User: u, DemandBps: s.DemandBps, Start: s.Start, Bytes: s.Bytes})
 		}
-	}
-	for _, t := range d.seats {
-		t.mu.RLock()
-		for u, s := range t.first {
-			add(u, s)
-			for _, x := range t.extra[u] {
-				add(u, x)
-			}
-		}
-		t.mu.RUnlock()
-	}
+	})
 	for _, l := range out {
 		slices.SortFunc(l, func(a, b Eviction) int { return cmp.Compare(a.User, b.User) })
 	}
@@ -779,19 +821,24 @@ func (d *Domain) place(p Placement) (overload bool) {
 	t := d.stripeOf(p.User)
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	seat := Seat{AP: p.AP, Start: p.TS}
 	if p.Prev != "" {
 		if prev, ok := d.shardOf(p.Prev).aps[p.Prev]; ok {
-			t.release(prev, p.User, math.Inf(1))
+			if old, had := t.release(prev, p.User, math.Inf(1)); had && p.Prev == p.AP {
+				seat.Start, seat.Bytes = old.Start, old.Bytes
+			}
 		}
 	}
 	st := d.shardOf(p.AP).aps[p.AP]
 	overload = !Admits(st.capacityBps, st.believedBps, p.DemandBps)
 	st.believedBps += p.DemandBps
-	cur, had := t.find(p.User, p.AP)
-	t.put(p.User, p.AP, cur+p.DemandBps)
-	if !had {
+	if cur, had := t.find(p.User, p.AP); had {
+		seat = cur // another concurrent session joins the held seat
+	} else {
 		st.numUsers++
 	}
+	seat.DemandBps += p.DemandBps
+	t.put(p.User, seat)
 	return overload
 }
 
@@ -806,63 +853,45 @@ func (d *Domain) Leave(u trace.UserID, ap trace.APID, demandBps float64) bool {
 }
 
 // LeaveAll fully detaches u from ap (the live controller's
-// disassociation — one assignment per user) and returns the believed
-// demand released.
-func (d *Domain) LeaveAll(u trace.UserID, ap trace.APID) (demandBps float64, ok bool) {
+// disassociation — one seat per user) and returns the closed seat.
+func (d *Domain) LeaveAll(u trace.UserID, ap trace.APID) (Seat, bool) {
 	return d.leave(u, ap, math.Inf(1))
 }
 
-func (d *Domain) leave(u trace.UserID, ap trace.APID, demandBps float64) (released float64, ok bool) {
+func (d *Domain) leave(u trace.UserID, ap trace.APID, demandBps float64) (s Seat, ok bool) {
 	d.withAP(ap, func(sh *shard, st *apState) {
 		t := d.stripeOf(u)
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		if released, ok = t.release(st, u, demandBps); ok {
+		if s, ok = t.release(st, u, demandBps); ok {
 			sh.version++
 			sh.syncGauges()
 		}
 	})
-	return released, ok
+	return s, ok
 }
 
 // release takes up to demandBps of u's seat on st, bounded by the seat's
 // demand so a misreported leave cannot erase other sessions' believed
-// load; the seat goes once its demand drains. Runs with st's shard lock
-// and u's stripe lock held.
-func (t *seatStripe) release(st *apState, u trace.UserID, demandBps float64) (float64, bool) {
-	cur, ok := t.find(u, st.id)
+// load; the seat goes once its demand drains. It returns the seat as it
+// was. Runs with st's shard lock and u's stripe lock held.
+func (t *seatStripe) release(st *apState, u trace.UserID, demandBps float64) (Seat, bool) {
+	s, ok := t.find(u, st.id)
 	if !ok {
-		return 0, false
+		return s, false
 	}
-	release := demandBps
-	if release > cur {
-		release = cur
-	}
-	if rem := cur - release; rem <= 1e-9 {
+	release := min(demandBps, s.DemandBps)
+	if rem := s.DemandBps - release; rem <= 1e-9 {
 		t.drop(u, st.id)
 		st.numUsers--
 	} else {
-		t.put(u, st.id, rem)
+		left := s
+		left.DemandBps = rem
+		t.put(u, left)
 	}
 	st.believedBps -= release
 	if st.believedBps < 0 {
 		st.believedBps = 0
 	}
-	return release, true
-}
-
-// LogSession emits one completed-association record to the configured
-// session log as {"kind":"session","session":…} — parsable by
-// trace.ReadJSONLines. No-op without a configured log.
-func (d *Domain) LogSession(s trace.Session) error {
-	if d.sessionLog == nil {
-		return nil
-	}
-	d.logMu.Lock()
-	defer d.logMu.Unlock()
-	rec := struct {
-		Kind    string        `json:"kind"`
-		Session trace.Session `json:"session"`
-	}{Kind: "session", Session: s}
-	return d.sessionLog.Encode(rec)
+	return s, true
 }

@@ -1,7 +1,6 @@
 package domain
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -264,9 +263,9 @@ func TestLeaveMultiplicityAndLeaveAll(t *testing.T) {
 	if _, err := d.Commit([]Placement{{User: "v", AP: "ap", DemandBps: 11}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	rel, ok := d.LeaveAll("v", "ap")
-	if !ok || rel != 11 {
-		t.Fatalf("LeaveAll = (%v, %v), want (11, true)", rel, ok)
+	seat, ok := d.LeaveAll("v", "ap")
+	if !ok || seat.DemandBps != 11 {
+		t.Fatalf("LeaveAll = (%v, %v), want (11, true)", seat.DemandBps, ok)
 	}
 	if _, ok := d.LeaveAll("v", "ap"); ok {
 		t.Fatal("second LeaveAll must report false")
@@ -376,27 +375,6 @@ func TestViewsSortedAcrossShards(t *testing.T) {
 		if views[i-1].ID >= views[i].ID {
 			t.Fatalf("views not ID-sorted at %d: %v >= %v", i, views[i-1].ID, views[i].ID)
 		}
-	}
-}
-
-func TestSessionLog(t *testing.T) {
-	var buf bytes.Buffer
-	d := New(Config{SessionLog: &buf})
-	if err := d.LogSession(trace.Session{
-		User: "u", AP: "ap", ConnectAt: 100, DisconnectAt: 200, Bytes: 42,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := trace.ReadJSONLines(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Sessions) != 1 || tr.Sessions[0].User != "u" || tr.Sessions[0].Bytes != 42 {
-		t.Fatalf("round-trip: %+v", tr.Sessions)
-	}
-	// No log configured: no-op, no error.
-	if err := New(Config{}).LogSession(trace.Session{User: "u"}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -614,4 +592,65 @@ func TestConcurrentSeatLookups(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
+}
+
+// TestSeatSessions: a seat carries its session. A new seat or a move
+// starts one at the placement's TS; a same-AP refresh keeps the start and
+// the served bytes; Credit adds bytes to the user's seat; evictions and
+// LeaveAll hand back the closed seat. The lookups allocate nothing.
+func TestSeatSessions(t *testing.T) {
+	d := New(Config{Shards: 4})
+	for _, ap := range []trace.APID{"ap1", "ap2", "ap3"} {
+		if err := d.AddAP(ap, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func(p Placement) {
+		t.Helper()
+		if _, err := d.Commit([]Placement{p}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seat := func(u trace.UserID) Seat {
+		t.Helper()
+		s, ok := d.SeatOf(u)
+		if !ok {
+			t.Fatalf("SeatOf(%s) = !ok", u)
+		}
+		return s
+	}
+	commit(Placement{User: "u", AP: "ap1", DemandBps: 3, TS: 10})
+	if ap, ok := d.Credit("u", 5); !ok || ap != "ap1" {
+		t.Fatalf("Credit = (%q, %v), want (ap1, true)", ap, ok)
+	}
+	commit(Placement{User: "u", AP: "ap1", Prev: "ap1", DemandBps: 7, TS: 20})
+	if got, want := seat("u"), (Seat{AP: "ap1", DemandBps: 7, Start: 10, Bytes: 5}); got != want {
+		t.Fatalf("after refresh: %+v, want %+v", got, want)
+	}
+	commit(Placement{User: "u", AP: "ap2", Prev: "ap1", DemandBps: 7, TS: 30})
+	if got, want := seat("u"), (Seat{AP: "ap2", DemandBps: 7, Start: 30}); got != want {
+		t.Fatalf("after move: %+v, want %+v", got, want)
+	}
+	if _, ok := d.Credit("nobody", 1); ok {
+		t.Fatal("Credit for a user without a seat must report false")
+	}
+	if !d.SetSession("u", 25, 42) || d.SetSession("nobody", 1, 1) {
+		t.Fatal("SetSession must apply to seated users only")
+	}
+	evicted, _ := d.RemoveAP("ap2")
+	if want := []Eviction{{User: "u", DemandBps: 7, Start: 25, Bytes: 42}}; !reflect.DeepEqual(evicted, want) {
+		t.Fatalf("evicted = %+v, want %+v", evicted, want)
+	}
+	commit(Placement{User: "v", AP: "ap3", DemandBps: 2, TS: 40})
+	d.Credit("v", 9)
+	if s, ok := d.LeaveAll("v", "ap3"); !ok || s != (Seat{AP: "ap3", DemandBps: 2, Start: 40, Bytes: 9}) {
+		t.Fatalf("LeaveAll = (%+v, %v)", s, ok)
+	}
+	commit(Placement{User: "w", AP: "ap1", DemandBps: 1})
+	if n := testing.AllocsPerRun(100, func() {
+		d.SeatOf("w")
+		d.Credit("w", 1)
+	}); n != 0 {
+		t.Fatalf("SeatOf+Credit allocate %v times per call", n)
+	}
 }

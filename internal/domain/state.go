@@ -91,7 +91,7 @@ func (d *Domain) ImportState(st *State) error {
 		for i, u := range ap.Users {
 			t := d.stripeOf(u)
 			t.mu.Lock()
-			t.put(u, ap.ID, ap.Demands[i])
+			t.put(u, Seat{AP: ap.ID, DemandBps: ap.Demands[i]})
 			t.mu.Unlock()
 			apst.believedBps += ap.Demands[i]
 		}

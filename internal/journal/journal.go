@@ -97,9 +97,6 @@ const (
 	OpAssoc Op = "assoc"
 	// OpDisassoc records a full disassociation (domain LeaveAll).
 	OpDisassoc Op = "disassoc"
-	// OpLeave records a partial leave releasing DemandBps of one of the
-	// user's sessions (domain Leave multiplicity semantics).
-	OpLeave Op = "leave"
 	// OpExpire records a lease expiry removing an AP and re-homing its
 	// believed users.
 	OpExpire Op = "expire"
@@ -130,7 +127,6 @@ type Record struct {
 	User        trace.UserID `json:"user,omitempty"`
 	CapacityBps float64      `json:"capacity_bps,omitempty"`
 	Static      bool         `json:"static,omitempty"`
-	DemandBps   float64      `json:"demand_bps,omitempty"`
 	Placements  []Placement  `json:"placements,omitempty"`
 }
 

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -80,13 +81,14 @@ type lifecycleEvent struct {
 // association requests by running the configured policy.
 //
 // All association state — AP registry, per-AP load/user accounting,
-// capacity admission, view snapshots, versioned commits, session-log
-// emission — lives in the shared association-domain core
-// (internal/domain), the same state machine the batch simulator replays
-// traces through; the controller layers the protocol lifecycle (leases,
-// agent connections, station sessions, served-byte accounting) on top.
-// Lock order is always c.mu before domain shard locks, never the
-// reverse.
+// capacity admission, view snapshots, versioned commits, and each live
+// session's start and served bytes (the user's seat) — lives in the
+// shared association-domain core (internal/domain), the same state
+// machine the batch simulator replays traces through; the controller
+// layers the protocol lifecycle (leases, agent connections, station
+// sessions, the session log, per-AP served bytes) on top. Every seat
+// mutation runs with c.mu held. Lock order is always c.mu before domain
+// shard locks, never the reverse.
 type Controller struct {
 	selector wlan.Selector
 	logger   *log.Logger
@@ -94,10 +96,11 @@ type Controller struct {
 	observer AssociationObserver
 	now      func() int64
 
-	// dom owns all AP association state, sharded by AP (WithShards).
-	dom       *domain.Domain
-	shards    int
-	sessionLW io.Writer
+	// dom owns all AP association state and every live session (one
+	// seat per user), sharded by AP (WithShards).
+	dom        *domain.Domain
+	shards     int
+	sessionLog *json.Encoder // nil without WithSessionLog
 
 	// refreshFn, when set, runs every refreshEvery while serving (see
 	// WithRefresher).
@@ -117,20 +120,20 @@ type Controller struct {
 	assocBucket     *tokenBucket
 	active          atomic.Int64
 
-	// Journal wiring (see journal.go): jn is nil while replaying during
-	// construction and whenever journaling is disabled, so the append
-	// hooks below are free no-ops in both cases.
+	// Journal wiring (see journal.go): jn is nil while replaying and
+	// whenever journaling is disabled, so the append hooks below are
+	// free no-ops in both cases. replaying marks a record being
+	// re-applied through the live helpers, which then write no session
+	// log.
 	journalDir  string
 	journalOpts journal.Options
 	jn          *journal.Journal
 	recovered   *RecoverySummary
+	replaying   bool
 
-	mu          sync.Mutex
-	meta        map[trace.APID]*apMeta
-	assignments map[trace.UserID]trace.APID
-	assignedAt  map[trace.UserID]int64
-	servedByUsr map[trace.UserID]int64
-	served      map[trace.APID]int64 // bytes reported by stations
+	mu     sync.Mutex
+	meta   map[trace.APID]*apMeta
+	served map[trace.APID]int64 // bytes reported by stations
 
 	listeners []net.Listener
 	stop      chan struct{}
@@ -209,7 +212,7 @@ func WithRefresher(fn func(), every time.Duration) ControllerOption {
 // trace.ReadJSONLines/trace.Stream when wrapped as
 // {"kind":"session","session":…}, which is exactly what is written.
 func WithSessionLog(w io.Writer) ControllerOption {
-	return func(c *Controller) { c.sessionLW = w }
+	return func(c *Controller) { c.sessionLog = json.NewEncoder(w) }
 }
 
 // NewController builds a controller around an association policy.
@@ -218,15 +221,12 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 		return nil, errors.New("protocol: nil selector")
 	}
 	c := &Controller{
-		selector:    selector,
-		logger:      log.New(io.Discard, "", 0),
-		timeout:     30 * time.Second,
-		now:         func() int64 { return time.Now().Unix() },
-		meta:        make(map[trace.APID]*apMeta),
-		assignments: make(map[trace.UserID]trace.APID),
-		assignedAt:  make(map[trace.UserID]int64),
-		servedByUsr: make(map[trace.UserID]int64),
-		served:      make(map[trace.APID]int64),
+		selector: selector,
+		logger:   log.New(io.Discard, "", 0),
+		timeout:  30 * time.Second,
+		now:      func() int64 { return time.Now().Unix() },
+		meta:     make(map[trace.APID]*apMeta),
+		served:   make(map[trace.APID]int64),
 	}
 	for _, opt := range opts {
 		opt(c)
@@ -241,12 +241,14 @@ func NewController(selector wlan.Selector, opts ...ControllerOption) (*Controlle
 		Shards: c.shards,
 		// max(reported, believed): a silent agent still yields sane
 		// decisions.
-		Mode:       domain.LoadMax,
-		SessionLog: c.sessionLW,
-		ObsName:    "live",
+		Mode:    domain.LoadMax,
+		ObsName: "live",
 	})
 	if c.journalDir != "" {
-		if err := c.openJournal(); err != nil {
+		c.mu.Lock()
+		_, err := c.openJournalLocked(c.journalDir, c.journalOpts, 0, true)
+		c.mu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -259,23 +261,10 @@ func (c *Controller) Shards() int { return c.dom.Shards() }
 // RegisterAP adds a static AP directly (without an agent connection).
 // Static APs never expire. Useful for fixed topologies and tests.
 func (c *Controller) RegisterAP(id trace.APID, capacityBps float64) error {
-	if id == "" {
-		return errors.New("protocol: empty AP id")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.meta[id]; dup {
-		return fmt.Errorf("protocol: AP %q already registered", id)
-	}
-	if err := c.dom.AddAP(id, capacityBps); err != nil {
-		return fmt.Errorf("protocol: %v", err)
-	}
-	c.meta[id] = &apMeta{static: true}
-	c.journalAppendLocked(journal.Record{
-		Op: journal.OpRegister, TS: c.now(), AP: id,
-		CapacityBps: capacityBps, Static: true,
-	})
-	return nil
+	_, err := c.registerLocked(id, capacityBps, true, c.now())
+	return err
 }
 
 // registerAgent registers (or, on a re-hello, renews) an agent-backed AP.
@@ -284,36 +273,49 @@ func (c *Controller) RegisterAP(id trace.APID, capacityBps float64) error {
 // reconnecting agent must not be locked out by its own half-dead
 // predecessor.
 func (c *Controller) registerAgent(conn *Conn, id trace.APID, capacityBps float64) (uint64, *Conn, error) {
-	if id == "" {
-		return 0, nil, errors.New("protocol: empty AP id")
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ts := c.now()
-	if m, ok := c.meta[id]; ok {
-		if m.static {
-			return 0, nil, fmt.Errorf("protocol: AP %q statically registered", id)
-		}
-		old := m.agentConn
+	m, err := c.registerLocked(id, capacityBps, false, c.now())
+	if err != nil {
+		return 0, nil, err
+	}
+	old := m.agentConn
+	m.agentConn = conn
+	return m.gen, old, nil
+}
+
+// registerLocked registers AP id, or renews its agent registration, and
+// journals it — live or replayed. A static AP is registered once and
+// never renewed.
+func (c *Controller) registerLocked(id trace.APID, capacityBps float64, static bool, ts int64) (*apMeta, error) {
+	m, ok := c.meta[id]
+	switch {
+	case id == "":
+		return nil, errors.New("protocol: empty AP id")
+	case ok && static:
+		return nil, fmt.Errorf("protocol: AP %q already registered", id)
+	case ok && m.static:
+		return nil, fmt.Errorf("protocol: AP %q statically registered", id)
+	case ok:
 		c.dom.SetCapacity(id, capacityBps)
 		m.lastSeen = ts
 		m.gen++
-		m.agentConn = conn
 		obsAPRenewed.Inc()
-		c.journalAppendLocked(journal.Record{
-			Op: journal.OpRegister, TS: ts, AP: id, CapacityBps: capacityBps,
-		})
-		return m.gen, old, nil
+	default:
+		if err := c.dom.AddAP(id, capacityBps); err != nil {
+			return nil, fmt.Errorf("protocol: %v", err)
+		}
+		m = &apMeta{static: static}
+		if !static {
+			m.lastSeen, m.gen = ts, 1
+			obsAPRegistered.Inc()
+		}
+		c.meta[id] = m
 	}
-	if err := c.dom.AddAP(id, capacityBps); err != nil {
-		return 0, nil, fmt.Errorf("protocol: %v", err)
-	}
-	c.meta[id] = &apMeta{lastSeen: ts, gen: 1, agentConn: conn}
-	obsAPRegistered.Inc()
 	c.journalAppendLocked(journal.Record{
-		Op: journal.OpRegister, TS: ts, AP: id, CapacityBps: capacityBps,
+		Op: journal.OpRegister, TS: ts, AP: id, CapacityBps: capacityBps, Static: static,
 	})
-	return 1, nil, nil
+	return m, nil
 }
 
 // Listen starts serving on addr (e.g. "127.0.0.1:0") and returns the bound
@@ -758,18 +760,7 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 				return
 			}
 		case MsgTraffic:
-			// Credit the controller's recorded assignment, never the
-			// client-claimed AP: a stale or malicious claim must not
-			// shift served volume between APs. Traffic from a user with
-			// no assignment is rejected (dropped).
-			c.mu.Lock()
-			ap, ok := c.assignments[user]
-			if ok {
-				c.served[ap] += m.Bytes
-				c.servedByUsr[user] += m.Bytes
-			}
-			c.mu.Unlock()
-			if !ok {
+			if !c.creditTraffic(user, m.Bytes) {
 				obsTrafficRejected.Inc()
 				c.logger.Printf("station %s: rejected %d bytes of traffic without association", user, m.Bytes)
 			}
@@ -781,13 +772,28 @@ func (c *Controller) handleStation(conn *Conn, hello Message) {
 	}
 }
 
+// creditTraffic credits a station's traffic report to its session and to
+// the AP the placement table holds, never a client-claimed AP: a stale or
+// malicious claim must not shift served volume between APs. Traffic from
+// a user with no seat is rejected (false).
+func (c *Controller) creditTraffic(user trace.UserID, bytes int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ap, ok := c.dom.Credit(user, bytes)
+	if ok {
+		c.served[ap] += bytes
+	}
+	return ok
+}
+
 // assocScratch holds the per-call buffers of the Associate fast path:
-// the reusable view snapshot and the single-placement commit argument.
-// Pooled so a steady-state association performs no heap allocation once
-// the view buffer has grown to the AP count.
+// the reusable view snapshot, the single-placement commit argument and
+// the seat it replaces. Pooled so a steady-state association performs no
+// heap allocation once the view buffer has grown to the AP count.
 type assocScratch struct {
-	views domain.ViewBuf
-	ps    [1]domain.Placement
+	views  domain.ViewBuf
+	ps     [1]domain.Placement
+	closed [1]domain.Seat
 }
 
 var assocPool = sync.Pool{New: func() interface{} { return new(assocScratch) }}
@@ -838,21 +844,12 @@ func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID
 
 		c.mu.Lock()
 		scr.ps[0] = domain.Placement{User: user, AP: ap, DemandBps: demandBps}
-		prevAP, hadPrev := c.assignments[user]
-		refresh := hadPrev && prevAP == ap
-		if hadPrev {
-			// Re-associating routes the previous assignment through Prev:
-			// for a move, the removal and the new placement land in one
-			// atomic domain commit; for a same-AP refresh, the commit
-			// atomically replaces (rather than adds to) the believed
-			// demand.
-			scr.ps[0].Prev = prevAP
-		}
 		verArg := ver
 		if attempt >= maxSelectRetries {
 			verArg = nil // force: retries exhausted
 		}
-		if _, err := c.dom.Commit(scr.ps[:1], verArg); err != nil {
+		deferred, err := c.commitLocked(scr.ps[:1], scr.closed[:1], verArg, ts)
+		if err != nil {
 			c.mu.Unlock()
 			if attempt < maxSelectRetries &&
 				(errors.Is(err, domain.ErrStale) || errors.Is(err, domain.ErrUnknownAP)) {
@@ -864,42 +861,12 @@ func (c *Controller) Associate(user trace.UserID, demandBps float64) (trace.APID
 			}
 			return "", fmt.Errorf("protocol: commit: %w", err)
 		}
-		if hadPrev && !refresh {
-			c.sessionRecordLocked(user, prevAP, ts)
-			obsAssocMoves.Inc()
-		}
-		c.assignments[user] = ap
-		if !refresh {
-			c.assignedAt[user] = ts
-			c.servedByUsr[user] = 0
-		}
-		obsv := c.observer
-		if refresh {
-			// Demand update only: the user never left, so no disconnect
-			// and no re-connect reaches the observer.
-			obsv = nil
-		}
-		if obsv != nil && c.jn != nil {
-			// Journaled: deliver in mutation order before the append, so a
-			// checkpoint triggered by this record captures the observer at
-			// exactly this sequence number.
-			c.notifyAssoc(obsv, user, ap, prevAP, hadPrev, ts)
-			obsv = nil
-		}
-		if c.jn != nil {
-			c.journalAppendLocked(journal.Record{
-				Op: journal.OpAssoc, TS: ts,
-				Placements: []journal.Placement{{User: user, AP: ap, Prev: scr.ps[0].Prev, DemandBps: demandBps}},
-			})
-		}
 		if c.logEnabled {
 			c.logger.Printf("assoc %s -> %s (demand %.0f B/s)", user, ap, demandBps)
 		}
 		c.mu.Unlock()
-
-		// Unjournaled: notify outside the lock — observers may be slow.
-		if obsv != nil {
-			c.notifyAssoc(obsv, user, ap, prevAP, hadPrev, ts)
+		if deferred {
+			c.notifyAssoc(scr.ps[:1], ts)
 		}
 		return ap, nil
 	}
@@ -961,10 +928,8 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 			return out, fmt.Errorf("protocol: policy: %w", err)
 		}
 
-		c.mu.Lock()
 		var (
 			ps      []domain.Placement
-			moves   []assocMove
 			rest    []wlan.Request // duplicates and unplaced users
 			claimed = make(map[trace.UserID]bool, len(batchReqs))
 		)
@@ -975,22 +940,15 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 				continue
 			}
 			claimed[r.User] = true
-			p := domain.Placement{User: r.User, AP: ap, DemandBps: r.DemandBps}
-			if prev, had := c.assignments[r.User]; had {
-				p.Prev = prev
-				if prev != ap {
-					// Same-AP placements are demand refreshes, not moves:
-					// no session split, no lifecycle events (see Associate).
-					moves = append(moves, assocMove{user: r.User, prev: prev})
-				}
-			}
-			ps = append(ps, p)
+			ps = append(ps, domain.Placement{User: r.User, AP: ap, DemandBps: r.DemandBps})
 		}
 		verArg := ver
 		if attempt >= maxSelectRetries {
 			verArg = nil // force: retries exhausted
 		}
-		if _, err := c.dom.Commit(ps, verArg); err != nil {
+		c.mu.Lock()
+		deferred, err := c.commitLocked(ps, make([]domain.Seat, len(ps)), verArg, ts)
+		if err != nil {
 			c.mu.Unlock()
 			if attempt < maxSelectRetries &&
 				(errors.Is(err, domain.ErrStale) || errors.Is(err, domain.ErrUnknownAP)) {
@@ -1002,40 +960,15 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 			}
 			return out, fmt.Errorf("protocol: commit: %w", err)
 		}
-		for _, mv := range moves {
-			c.sessionRecordLocked(mv.user, mv.prev, ts)
-			obsAssocMoves.Inc()
-		}
-		jps := make([]journal.Placement, len(ps))
-		for i, p := range ps {
-			c.assignments[p.User] = p.AP
-			if p.Prev != p.AP {
-				// A same-AP refresh (Prev == AP) keeps the session's
-				// timestamp and served-byte tally continuous.
-				c.assignedAt[p.User] = ts
-				c.servedByUsr[p.User] = 0
-			}
+		for _, p := range ps {
 			out[p.User] = p.AP
-			jps[i] = journal.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
 			if c.logEnabled {
 				c.logger.Printf("assoc %s -> %s (demand %.0f B/s, batch)", p.User, p.AP, p.DemandBps)
 			}
 		}
-		obsv := c.observer
-		if obsv != nil && c.jn != nil {
-			// Journaled: deliver before the append so a checkpoint
-			// triggered by this record includes these events (see
-			// Associate).
-			c.notifyBatch(obsv, moves, ps, ts)
-			obsv = nil
-		}
-		if len(jps) > 0 {
-			c.journalAppendLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: jps})
-		}
 		c.mu.Unlock()
-
-		if obsv != nil {
-			c.notifyBatch(obsv, moves, ps, ts)
+		if deferred {
+			c.notifyAssoc(ps, ts)
 		}
 
 		for _, r := range rest {
@@ -1049,61 +982,103 @@ func (c *Controller) AssociateBatch(reqs []wlan.Request) (map[trace.UserID]trace
 	}
 }
 
+// commitLocked applies one association commit and the bookkeeping every
+// commit shares, live (Associate, AssociateBatch) or replayed (an OpAssoc
+// record). Each placement's Prev is set to the user's current seat, which
+// closed receives (it needs len(ps) room): a move releases that seat in
+// the same atomic commit, and a same-AP placement refreshes the demand
+// but keeps the session. Once committed, each move closes its old
+// session, the observer events are delivered unless deferred (see
+// deferEvents), and the commit is journaled. deferred reports that the
+// caller must call notifyAssoc after releasing c.mu.
+func (c *Controller) commitLocked(ps []domain.Placement, closed []domain.Seat, ver domain.Version, ts int64) (deferred bool, err error) {
+	for i := range ps {
+		closed[i], _ = c.dom.SeatOf(ps[i].User)
+		ps[i].Prev, ps[i].TS = closed[i].AP, ts
+	}
+	if _, err := c.dom.Commit(ps, ver); err != nil {
+		return false, err
+	}
+	for i, p := range ps {
+		if p.Prev != "" && p.Prev != p.AP {
+			c.closeSessionLocked(p.User, closed[i], ts)
+			obsAssocMoves.Inc()
+		}
+	}
+	if c.observer != nil && !c.deferEvents() {
+		c.notifyAssoc(ps, ts)
+	}
+	if c.jn != nil && len(ps) > 0 {
+		jps := make([]journal.Placement, len(ps))
+		for i, p := range ps {
+			jps[i] = journal.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
+		}
+		c.journalAppendLocked(journal.Record{Op: journal.OpAssoc, TS: ts, Placements: jps})
+	}
+	return c.observer != nil && c.deferEvents(), nil
+}
+
 func (c *Controller) disassociate(user trace.UserID) {
 	c.mu.Lock()
 	ts := c.now()
-	ap, ok := c.assignments[user]
-	if !ok {
-		c.mu.Unlock()
-		return
+	s, ok := c.leaveLocked(user, ts)
+	if ok && c.logEnabled {
+		c.logger.Printf("disassoc %s from %s", user, s.AP)
 	}
-	delete(c.assignments, user)
-	c.dom.LeaveAll(user, ap)
-	c.sessionRecordLocked(user, ap, ts)
-	obsv := c.observer
-	if obsv != nil && c.jn != nil {
-		// Journaled: deliver before the append (see Associate).
-		c.notifyDisconnect(obsv, user, ap, ts)
-		obsv = nil
-	}
-	// All three bookkeeping maps must be consistent before the append: a
-	// rotation-triggered checkpoint snapshots state synchronously from
-	// inside journalAppendLocked, and a checkpoint keyed to this record
-	// must not carry a half-deleted user (gone from assignments, still
-	// in assignedAt/servedByUsr).
-	delete(c.assignedAt, user)
-	delete(c.servedByUsr, user)
-	c.journalAppendLocked(journal.Record{Op: journal.OpDisassoc, TS: ts, User: user, AP: ap})
-	if c.logEnabled {
-		c.logger.Printf("disassoc %s from %s", user, ap)
-	}
+	deferred := ok && c.observer != nil && c.deferEvents()
 	c.mu.Unlock()
-
-	if obsv != nil {
-		c.notifyDisconnect(obsv, user, ap, ts)
+	if deferred {
+		c.notifyDisconnect(user, s.AP, ts)
 	}
 }
 
-// sessionRecordLocked emits one completed-association record to the
-// session log via the domain (if configured). Must run with c.mu held,
-// before the user's assignedAt/servedByUsr bookkeeping is reset.
-func (c *Controller) sessionRecordLocked(user trace.UserID, ap trace.APID, ts int64) {
-	if err := c.dom.LogSession(trace.Session{
-		User:         user,
-		AP:           ap,
-		ConnectAt:    c.assignedAt[user],
-		DisconnectAt: ts,
-		Bytes:        c.servedByUsr[user],
-	}); err != nil {
+// leaveLocked fully detaches user, live or replayed: the seat is
+// released and its session closed, the observer told unless deferred
+// (see deferEvents), and the disassociation journaled. ok is false for a
+// user with no seat.
+func (c *Controller) leaveLocked(user trace.UserID, ts int64) (s domain.Seat, ok bool) {
+	if s, ok = c.dom.SeatOf(user); !ok {
+		return s, false
+	}
+	s, _ = c.dom.LeaveAll(user, s.AP)
+	c.closeSessionLocked(user, s, ts)
+	if c.observer != nil && !c.deferEvents() {
+		c.notifyDisconnect(user, s.AP, ts)
+	}
+	c.journalAppendLocked(journal.Record{Op: journal.OpDisassoc, TS: ts, User: user, AP: s.AP})
+	return s, true
+}
+
+// deferEvents reports whether observer events are delivered after c.mu
+// is released: only on a live, unjournaled controller (observers may be
+// slow). Journaled or replaying, they are delivered in mutation order
+// inside the locked section, before the append, so a checkpoint keyed to
+// record N captures the observer at exactly sequence N and replaying the
+// records after N through it reconstructs it losslessly.
+func (c *Controller) deferEvents() bool { return c.jn == nil && !c.replaying }
+
+// closeSessionLocked writes one completed session — seat s of user, ended
+// at ts — to the session log as {"kind":"session","session":…}, which
+// trace.ReadJSONLines parses. Replay writes nothing: the pre-crash
+// process logged it already. Runs with c.mu held.
+func (c *Controller) closeSessionLocked(user trace.UserID, s domain.Seat, ts int64) {
+	if c.sessionLog == nil || c.replaying {
+		return
+	}
+	rec := struct {
+		Kind    string        `json:"kind"`
+		Session trace.Session `json:"session"`
+	}{"session", trace.Session{User: user, AP: s.AP, ConnectAt: s.Start, DisconnectAt: ts, Bytes: s.Bytes}}
+	if err := c.sessionLog.Encode(rec); err != nil {
 		c.logger.Printf("session log: %v", err)
 	}
 }
 
 // expireLocked removes agent-registered APs whose lease has lapsed and
-// re-homes their believed users: assignments are dropped, sessions
-// logged, and observer disconnects gathered for emission outside the
-// lock (alongside any lingering agent connections to close). Must run
-// with c.mu held. Expiry order is sorted by AP ID for determinism.
+// re-homes their believed users (see removeAPLocked), gathering observer
+// disconnects for emission outside the lock alongside any lingering agent
+// connections to close. Must run with c.mu held. Expiry order is sorted
+// by AP ID for determinism.
 func (c *Controller) expireLocked(ts int64) ([]lifecycleEvent, []*Conn) {
 	if c.leaseSeconds <= 0 {
 		return nil, nil
@@ -1117,70 +1092,56 @@ func (c *Controller) expireLocked(ts int64) ([]lifecycleEvent, []*Conn) {
 	sort.Slice(expired, func(i, j int) bool { return expired[i] < expired[j] })
 	var evs []lifecycleEvent
 	var conns []*Conn
-	inline := c.jn != nil && c.observer != nil
 	for _, id := range expired {
-		m := c.meta[id]
-		evicted, _ := c.dom.RemoveAP(id)
-		for _, ev := range evicted {
-			delete(c.assignments, ev.User)
-			c.sessionRecordLocked(ev.User, id, ts)
-			delete(c.assignedAt, ev.User)
-			delete(c.servedByUsr, ev.User)
-			if inline {
-				// Journaled: deliver before the append (see Associate).
-				c.notifyDisconnect(c.observer, ev.User, id, ts)
-			} else {
-				evs = append(evs, lifecycleEvent{user: ev.User, ap: id, ts: ts})
-			}
+		if conn := c.meta[id].agentConn; conn != nil {
+			conns = append(conns, conn)
 		}
-		c.journalAppendLocked(journal.Record{Op: journal.OpExpire, TS: ts, AP: id})
-		if m.agentConn != nil {
-			conns = append(conns, m.agentConn)
-		}
-		c.logger.Printf("ap %s lease expired (silent %ds, %d users re-homed)",
-			id, ts-m.lastSeen, len(evicted))
-		delete(c.meta, id)
-		obsLeaseExpired.Inc()
+		evs = c.removeAPLocked(id, ts, evs)
 	}
 	return evs, conns
 }
 
-// assocMove records a re-association's previous AP for observer and
-// session bookkeeping.
-type assocMove struct {
-	user trace.UserID
-	prev trace.APID
-}
-
-// notifyAssoc delivers one association's observer events: the
-// disconnect from the previous AP on a move, then the connect.
-func (c *Controller) notifyAssoc(obsv AssociationObserver,
-	user trace.UserID, ap, prev trace.APID, moved bool, ts int64) {
-	if moved {
-		c.notifyDisconnect(obsv, user, prev, ts)
+// removeAPLocked expires AP id, live or replayed: its users' seats close
+// (session log), their disconnects are delivered or, when deferred (see
+// deferEvents), appended to evs, and the expiry is journaled.
+func (c *Controller) removeAPLocked(id trace.APID, ts int64, evs []lifecycleEvent) []lifecycleEvent {
+	evicted, _ := c.dom.RemoveAP(id)
+	for _, ev := range evicted {
+		c.closeSessionLocked(ev.User, domain.Seat{AP: id, Start: ev.Start, Bytes: ev.Bytes}, ts)
+		switch {
+		case c.observer == nil:
+		case c.deferEvents():
+			evs = append(evs, lifecycleEvent{user: ev.User, ap: id, ts: ts})
+		default:
+			c.notifyDisconnect(ev.User, id, ts)
+		}
 	}
-	obsv.Connect(user, ap, ts)
+	c.journalAppendLocked(journal.Record{Op: journal.OpExpire, TS: ts, AP: id})
+	c.logger.Printf("ap %s lease expired (silent %ds, %d users re-homed)",
+		id, ts-c.meta[id].lastSeen, len(evicted))
+	delete(c.meta, id)
+	obsLeaseExpired.Inc()
+	return evs
 }
 
-// notifyBatch delivers a batch commit's observer events: every move's
+// notifyAssoc delivers a commit's observer events: every move's
 // disconnect, then every placement's connect. Same-AP refreshes
 // (Prev == AP) emit nothing — the user never left.
-func (c *Controller) notifyBatch(obsv AssociationObserver,
-	moves []assocMove, ps []domain.Placement, ts int64) {
-	for _, mv := range moves {
-		c.notifyDisconnect(obsv, mv.user, mv.prev, ts)
+func (c *Controller) notifyAssoc(ps []domain.Placement, ts int64) {
+	for _, p := range ps {
+		if p.Prev != "" && p.Prev != p.AP {
+			c.notifyDisconnect(p.User, p.Prev, ts)
+		}
 	}
 	for _, p := range ps {
-		if p.Prev == p.AP && p.Prev != "" {
-			continue
+		if p.Prev != p.AP {
+			c.observer.Connect(p.User, p.AP, ts)
 		}
-		obsv.Connect(p.User, p.AP, ts)
 	}
 }
 
-func (c *Controller) notifyDisconnect(obsv AssociationObserver,
-	user trace.UserID, ap trace.APID, ts int64) {
-	if err := obsv.Disconnect(user, ap, ts); err != nil {
+func (c *Controller) notifyDisconnect(user trace.UserID, ap trace.APID, ts int64) {
+	if err := c.observer.Disconnect(user, ap, ts); err != nil {
 		c.logger.Printf("observer disconnect %s: %v", user, err)
 	}
 }
@@ -1195,9 +1156,7 @@ func (c *Controller) emitLifecycle(evs []lifecycleEvent, conns []*Conn) {
 		return
 	}
 	for _, e := range evs {
-		if err := c.observer.Disconnect(e.user, e.ap, e.ts); err != nil {
-			c.logger.Printf("observer disconnect %s: %v", e.user, err)
-		}
+		c.notifyDisconnect(e.user, e.ap, e.ts)
 	}
 }
 

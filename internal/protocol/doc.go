@@ -1,7 +1,7 @@
 // Package protocol implements the S³ prototype the paper validates its
-// design with (Section IV): a WLAN controller as a TCP server speaking a
-// JSON-lines wire protocol, AP agents that register and periodically
-// report load, and stations that request association.
+// design with (Section IV): a WLAN controller as a TCP server, AP agents
+// that register and periodically report load, and stations that request
+// association.
 //
 // The controller embeds any wlan.Selector — the S³ policy from
 // internal/core or a baseline from internal/baseline — and makes live
@@ -11,11 +11,13 @@
 // internal/wlan) and by this networked prototype, so simulated results
 // carry over to the deployable artifact.
 //
-// Wire format: one JSON object per line, each carrying a Type tag
-// (register, report, associate, decision, error) and the corresponding
-// payload fields. The format is versioned by field presence only; unknown
-// fields are ignored, which keeps old agents compatible with newer
-// controllers.
+// Wire format: the default codec is binary, a batch of compactly
+// encoded messages inside the journal's CRC-32C frame (codec.go). Peers
+// speaking JSON lines, one object per line, are served on the same port:
+// the controller sniffs each connection's first byte, and no JSON
+// document can begin with the frame magic. Every message carries a Type
+// tag — hello, hello_ok, report, assoc, assign, traffic, disassoc, error
+// or busy — and the payload fields that type uses.
 //
 // Lifecycle and failure model: AP registrations made by agents are
 // leases — every hello and load report renews them, a re-hello from a

@@ -69,8 +69,8 @@ func (c *Controller) RestoreCheckpoint(payload []byte) error {
 
 // ApplyRecord applies one replicated journal record to the
 // controller's state through the recovery replay path: domain commit,
-// assignment bookkeeping and observer events, with no session-log or
-// journal emission. This is how a standby follower mirrors a shard
+// sessions and observer events, with no session-log or journal
+// emission. This is how a standby follower mirrors a shard
 // owner record by record. Not valid on a journal-armed controller —
 // an owner must never re-apply its own appends.
 func (c *Controller) ApplyRecord(r journal.Record) error {
@@ -100,35 +100,7 @@ func (c *Controller) AttachJournal(dir string, opts journal.Options, afterSeq ui
 	if c.jn != nil {
 		return nil, errors.New("protocol: journal already attached")
 	}
-	opts.State = c.writeCheckpointLocked
-	if opts.Logger == nil {
-		opts.Logger = c.logger
-	}
-	j, rec, err := journal.Open(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	if rec.Checkpoint != nil && rec.Stats.CheckpointSeq > afterSeq {
-		j.Close()
-		return nil, fmt.Errorf("protocol: follower at seq %d behind journal checkpoint %d; resync before takeover",
-			afterSeq, rec.Stats.CheckpointSeq)
-	}
-	sum := &RecoverySummary{Stats: rec.Stats}
-	for _, r := range rec.Records {
-		if r.Seq <= afterSeq {
-			continue
-		}
-		if err := c.applyRecord(r); err != nil {
-			sum.ReplayErrors++
-			obsReplayErrs.Inc()
-			c.logger.Printf("journal: takeover replay record %d (%s): %v", r.Seq, r.Op, err)
-		}
-	}
-	sum.APs = c.dom.Size()
-	sum.Assignments = len(c.assignments)
-	c.recovered = sum
-	c.jn = j
-	return sum, nil
+	return c.openJournalLocked(dir, opts, afterSeq, false)
 }
 
 // DetachJournal closes the controller's journal WITHOUT the shutdown

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/journal"
@@ -17,22 +16,18 @@ import (
 // controller commits — registrations, association commits (single and
 // batch), disassociations and lease expiries — is appended to a
 // write-ahead journal after it applies, and checkpoints capture the full
-// controller state (domain associations, assignment bookkeeping, AP
+// controller state (domain associations with each seat's session, AP
 // lease metadata, and the social observer's learned state when it can
 // persist itself). A restarted controller pointed at the same directory
-// recovers the newest valid checkpoint and replays the record tail, so
-// believed loads, assignments and the θ-graph survive a crash.
+// recovers the newest valid checkpoint and replays the record tail
+// through the live paths' own helpers, so believed loads, assignments
+// and the θ-graph survive a crash.
 //
 // Served-byte counters (station traffic accounting) are advisory and
 // only as fresh as the last checkpoint: traffic volume is not a domain
 // mutation and is deliberately not journaled per report.
 //
-// With a journal, observer events are delivered synchronously inside
-// the mutation's locked section, before the record is appended — a
-// checkpoint triggered by record N then captures the observer at
-// exactly sequence N, and replaying records > N through the observer
-// reconstructs it losslessly. Without a journal, delivery stays outside
-// the lock (observers may be slow; nothing needs the ordering).
+// Observer event ordering under a journal is described at deferEvents.
 
 var obsReplayErrs = obs.GetCounter("journal.recovery.replay_errors",
 	"Recovered WAL records whose replay failed (skipped, recovery continues)")
@@ -87,15 +82,18 @@ type checkpointMeta struct {
 	Gen      uint64 `json:"gen,omitempty"`
 }
 
-// checkpointDoc is the controller's full checkpoint payload.
+// checkpointDoc is the controller's full checkpoint payload. The three
+// per-user maps are derived from the placement table when written; when
+// read, the domain state decides who sits where, and AssignedAt and
+// ServedByUsr restore each seat's session.
 type checkpointDoc struct {
-	Domain      *domain.State                  `json:"domain"`
-	Assignments map[trace.UserID]trace.APID    `json:"assignments,omitempty"`
-	AssignedAt  map[trace.UserID]int64         `json:"assigned_at,omitempty"`
-	ServedByUsr map[trace.UserID]int64         `json:"served_by_user,omitempty"`
-	Served      map[trace.APID]int64           `json:"served,omitempty"`
-	Meta        map[trace.APID]checkpointMeta  `json:"meta,omitempty"`
-	Society     json.RawMessage                `json:"society,omitempty"`
+	Domain      *domain.State                 `json:"domain"`
+	Assignments map[trace.UserID]trace.APID   `json:"assignments,omitempty"`
+	AssignedAt  map[trace.UserID]int64        `json:"assigned_at,omitempty"`
+	ServedByUsr map[trace.UserID]int64        `json:"served_by_user,omitempty"`
+	Served      map[trace.APID]int64          `json:"served,omitempty"`
+	Meta        map[trace.APID]checkpointMeta `json:"meta,omitempty"`
+	Society     json.RawMessage               `json:"society,omitempty"`
 }
 
 // writeCheckpointLocked serializes the controller's complete state to w.
@@ -106,12 +104,15 @@ type checkpointDoc struct {
 func (c *Controller) writeCheckpointLocked(w io.Writer) error {
 	doc := checkpointDoc{
 		Domain:      c.dom.ExportState(),
-		Assignments: c.assignments,
-		AssignedAt:  c.assignedAt,
-		ServedByUsr: c.servedByUsr,
+		Assignments: make(map[trace.UserID]trace.APID),
+		AssignedAt:  make(map[trace.UserID]int64),
+		ServedByUsr: make(map[trace.UserID]int64),
 		Served:      c.served,
 		Meta:        make(map[trace.APID]checkpointMeta, len(c.meta)),
 	}
+	c.dom.EachSeat(func(u trace.UserID, s domain.Seat) {
+		doc.Assignments[u], doc.AssignedAt[u], doc.ServedByUsr[u] = s.AP, s.Start, s.Bytes
+	})
 	for id, m := range c.meta {
 		doc.Meta[id] = checkpointMeta{Static: m.static, LastSeen: m.lastSeen, Gen: m.gen}
 	}
@@ -128,29 +129,39 @@ func (c *Controller) writeCheckpointLocked(w io.Writer) error {
 	return nil
 }
 
-// openJournal recovers from the configured journal directory and opens
-// it for appending. Called once from NewController, after the domain is
-// built and before any connection is accepted, so no locking is needed —
-// but replay runs through the same locked helpers the live paths use.
-func (c *Controller) openJournal() error {
-	opts := c.journalOpts
+// openJournalLocked opens dir for appending, replays it through
+// applyRecord, and arms appends only then: replaying must never
+// re-journal. A fresh controller (NewController) restores the newest
+// checkpoint first. A promoted follower (AttachJournal) has applied every
+// record up to afterSeq already, so it refuses a checkpoint beyond that
+// and replays only the rest. Replay errors are logged, counted and
+// skipped.
+func (c *Controller) openJournalLocked(dir string, opts journal.Options, afterSeq uint64, fresh bool) (*RecoverySummary, error) {
 	opts.State = c.writeCheckpointLocked
 	if opts.Logger == nil {
 		opts.Logger = c.logger
 	}
-	j, rec, err := journal.Open(c.journalDir, opts)
+	j, rec, err := journal.Open(dir, opts)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	switch {
+	case rec.Checkpoint == nil:
+	case fresh:
+		err = c.restoreCheckpoint(rec.Checkpoint)
+	case rec.Stats.CheckpointSeq > afterSeq:
+		err = fmt.Errorf("protocol: follower at seq %d behind journal checkpoint %d; resync before takeover",
+			afterSeq, rec.Stats.CheckpointSeq)
+	}
+	if err != nil {
+		j.Close()
+		return nil, err
 	}
 	sum := &RecoverySummary{Stats: rec.Stats}
-
-	if rec.Checkpoint != nil {
-		if err := c.restoreCheckpoint(rec.Checkpoint); err != nil {
-			j.Close()
-			return err
-		}
-	}
 	for _, r := range rec.Records {
+		if r.Seq <= afterSeq {
+			continue
+		}
 		if err := c.applyRecord(r); err != nil {
 			sum.ReplayErrors++
 			obsReplayErrs.Inc()
@@ -158,16 +169,15 @@ func (c *Controller) openJournal() error {
 		}
 	}
 	sum.APs = c.dom.Size()
-	sum.Assignments = len(c.assignments)
+	c.dom.EachSeat(func(trace.UserID, domain.Seat) { sum.Assignments++ })
 	c.recovered = sum
-	// Arm appends only now: replaying must never re-journal.
 	c.jn = j
-	return nil
+	return sum, nil
 }
 
-// restoreCheckpoint loads a checkpoint payload: domain associations,
-// assignment bookkeeping, AP lease metadata, and the observer's learned
-// state when both sides support it.
+// restoreCheckpoint loads a checkpoint payload: domain associations and
+// their sessions, AP lease metadata, and the observer's learned state
+// when both sides support it.
 func (c *Controller) restoreCheckpoint(payload []byte) error {
 	var doc checkpointDoc
 	if err := json.Unmarshal(payload, &doc); err != nil {
@@ -178,14 +188,8 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 			return err
 		}
 	}
-	for u, ap := range doc.Assignments {
-		c.assignments[u] = ap
-	}
 	for u, ts := range doc.AssignedAt {
-		c.assignedAt[u] = ts
-	}
-	for u, b := range doc.ServedByUsr {
-		c.servedByUsr[u] = b
+		c.dom.SetSession(u, ts, doc.ServedByUsr[u])
 	}
 	for ap, b := range doc.Served {
 		c.served[ap] = b
@@ -203,103 +207,36 @@ func (c *Controller) restoreCheckpoint(payload []byte) error {
 	return nil
 }
 
-// applyRecord re-applies one journaled mutation during recovery,
-// mirroring the live mutation paths: domain commits, assignment
-// bookkeeping, and observer Connect/Disconnect events (so a social
-// engine restored from the checkpoint relearns exactly the tail).
-// Session-log emission is suppressed — the pre-crash process already
-// logged those sessions.
+// applyRecord re-applies one journaled mutation — during recovery, for
+// an ApplyRecord follower, or on takeover — through the same helpers the
+// live paths call: domain commits, sessions, lease metadata and observer
+// events (so a social engine restored from the checkpoint relearns
+// exactly the tail). Replay writes no session log (the pre-crash process
+// logged those sessions) and, with appends not yet armed, no journal.
 func (c *Controller) applyRecord(r journal.Record) error {
+	c.replaying = true
+	defer func() { c.replaying = false }()
 	switch r.Op {
 	case journal.OpRegister:
-		if m, ok := c.meta[r.AP]; ok {
-			c.dom.SetCapacity(r.AP, r.CapacityBps)
-			if !m.static {
-				m.lastSeen = r.TS
-				m.gen++
-			}
-			return nil
-		}
-		if err := c.dom.AddAP(r.AP, r.CapacityBps); err != nil {
-			return err
-		}
-		m := &apMeta{static: r.Static}
-		if !r.Static {
-			m.lastSeen = r.TS
-			m.gen = 1
-		}
-		c.meta[r.AP] = m
-		return nil
-
+		_, err := c.registerLocked(r.AP, r.CapacityBps, r.Static, r.TS)
+		return err
 	case journal.OpAssoc:
 		ps := make([]domain.Placement, len(r.Placements))
 		for i, p := range r.Placements {
-			ps[i] = domain.Placement{User: p.User, AP: p.AP, Prev: p.Prev, DemandBps: p.DemandBps}
+			ps[i] = domain.Placement{User: p.User, AP: p.AP, DemandBps: p.DemandBps}
 		}
-		if _, err := c.dom.Commit(ps, nil); err != nil {
-			return err
-		}
-		for _, p := range r.Placements {
-			prev, hadPrev := c.assignments[p.User]
-			refresh := hadPrev && prev == p.AP
-			c.assignments[p.User] = p.AP
-			if !refresh {
-				// Mirror the live path: a same-AP refresh keeps the
-				// session timestamp and served-byte tally continuous and
-				// emits no lifecycle events.
-				c.assignedAt[p.User] = r.TS
-				c.servedByUsr[p.User] = 0
-			}
-			if c.observer != nil && !refresh {
-				if hadPrev {
-					if err := c.observer.Disconnect(p.User, prev, r.TS); err != nil {
-						c.logger.Printf("journal: replay observer disconnect %s: %v", p.User, err)
-					}
-				}
-				c.observer.Connect(p.User, p.AP, r.TS)
-			}
-		}
-		return nil
-
+		_, err := c.commitLocked(ps, make([]domain.Seat, len(ps)), nil, r.TS)
+		return err
 	case journal.OpDisassoc:
-		ap, ok := c.assignments[r.User]
-		if !ok {
+		if _, ok := c.leaveLocked(r.User, r.TS); !ok {
 			return fmt.Errorf("protocol: disassoc replay for unassigned user %q", r.User)
 		}
-		delete(c.assignments, r.User)
-		delete(c.assignedAt, r.User)
-		delete(c.servedByUsr, r.User)
-		c.dom.LeaveAll(r.User, ap)
-		if c.observer != nil {
-			if err := c.observer.Disconnect(r.User, ap, r.TS); err != nil {
-				c.logger.Printf("journal: replay observer disconnect %s: %v", r.User, err)
-			}
-		}
 		return nil
-
-	case journal.OpLeave:
-		if !c.dom.Leave(r.User, r.AP, r.DemandBps) {
-			return fmt.Errorf("protocol: leave replay for %q on %q failed", r.User, r.AP)
-		}
-		return nil
-
 	case journal.OpExpire:
 		if _, ok := c.meta[r.AP]; !ok {
 			return fmt.Errorf("protocol: expire replay for unknown AP %q", r.AP)
 		}
-		evicted, _ := c.dom.RemoveAP(r.AP)
-		delete(c.meta, r.AP)
-		sort.Slice(evicted, func(i, j int) bool { return evicted[i].User < evicted[j].User })
-		for _, ev := range evicted {
-			delete(c.assignments, ev.User)
-			delete(c.assignedAt, ev.User)
-			delete(c.servedByUsr, ev.User)
-			if c.observer != nil {
-				if err := c.observer.Disconnect(ev.User, r.AP, r.TS); err != nil {
-					c.logger.Printf("journal: replay observer disconnect %s: %v", ev.User, err)
-				}
-			}
-		}
+		c.removeAPLocked(r.AP, r.TS, nil)
 		return nil
 	}
 	return fmt.Errorf("protocol: unknown journal op %q", r.Op)

@@ -51,8 +51,8 @@ func waitQuiet(t *testing.T, c *Controller) {
 func assertConservation(t *testing.T, c *Controller) {
 	t.Helper()
 	c.mu.Lock()
-	assigned := make(map[trace.UserID]trace.APID, len(c.assignments))
-	for u, ap := range c.assignments {
+	assigned := make(map[trace.UserID]trace.APID, len(sessionMaps(c).assignments))
+	for u, ap := range sessionMaps(c).assignments {
 		assigned[u] = ap
 	}
 	c.mu.Unlock()

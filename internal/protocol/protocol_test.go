@@ -10,6 +10,7 @@ import (
 
 	"github.com/s3wlan/s3wlan/internal/baseline"
 	"github.com/s3wlan/s3wlan/internal/core"
+	"github.com/s3wlan/s3wlan/internal/domain"
 	"github.com/s3wlan/s3wlan/internal/society"
 	"github.com/s3wlan/s3wlan/internal/trace"
 	"github.com/s3wlan/s3wlan/internal/wlan"
@@ -499,4 +500,25 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
+}
+
+// sessionState is the per-user view of the placement table tests assert
+// on: each user's AP, session start and bytes served.
+type sessionState struct {
+	assignments map[trace.UserID]trace.APID
+	assignedAt  map[trace.UserID]int64
+	servedByUsr map[trace.UserID]int64
+}
+
+// sessionMaps derives c's per-user session maps from its placement table.
+func sessionMaps(c *Controller) sessionState {
+	s := sessionState{
+		assignments: make(map[trace.UserID]trace.APID),
+		assignedAt:  make(map[trace.UserID]int64),
+		servedByUsr: make(map[trace.UserID]int64),
+	}
+	c.dom.EachSeat(func(u trace.UserID, seat domain.Seat) {
+		s.assignments[u], s.assignedAt[u], s.servedByUsr[u] = seat.AP, seat.Start, seat.Bytes
+	})
+	return s
 }

@@ -71,7 +71,7 @@ func TestSameAPReassociationKeepsSession(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	c.mu.Lock()
-	firstAt := c.assignedAt["stayer"]
+	firstAt := sessionMaps(c).assignedAt["stayer"]
 	c.mu.Unlock()
 
 	// Same-AP re-association with a new demand.
@@ -89,8 +89,8 @@ func TestSameAPReassociationKeepsSession(t *testing.T) {
 	}
 
 	c.mu.Lock()
-	refreshAt := c.assignedAt["stayer"]
-	served := c.servedByUsr["stayer"]
+	refreshAt := sessionMaps(c).assignedAt["stayer"]
+	served := sessionMaps(c).servedByUsr["stayer"]
 	c.mu.Unlock()
 	if refreshAt != firstAt {
 		t.Errorf("refresh reset assignedAt: %d -> %d", firstAt, refreshAt)
@@ -152,7 +152,7 @@ func TestSameAPRefreshJournalReplayParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.mu.Lock()
-	wantAt := a.assignedAt["u"]
+	wantAt := sessionMaps(a).assignedAt["u"]
 	a.mu.Unlock()
 	wantState := a.dom.ExportState()
 	wantSnap := a.Snapshot()
@@ -167,7 +167,7 @@ func TestSameAPRefreshJournalReplayParity(t *testing.T) {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	b.mu.Lock()
-	gotAt := b.assignedAt["u"]
+	gotAt := sessionMaps(b).assignedAt["u"]
 	b.mu.Unlock()
 	if gotAt != wantAt {
 		t.Errorf("replayed assignedAt = %d, want %d (refresh must not split the session)", gotAt, wantAt)
@@ -304,13 +304,13 @@ func TestCrossCodecAssignmentParity(t *testing.T) {
 	bin, js := controllers[CodecBinary].ctl, controllers[CodecJSON].ctl
 	bin.mu.Lock()
 	binAssign := map[trace.UserID]trace.APID{}
-	for u, ap := range bin.assignments {
+	for u, ap := range sessionMaps(bin).assignments {
 		binAssign[u] = ap
 	}
 	bin.mu.Unlock()
 	js.mu.Lock()
 	jsAssign := map[trace.UserID]trace.APID{}
-	for u, ap := range js.assignments {
+	for u, ap := range sessionMaps(js).assignments {
 		jsAssign[u] = ap
 	}
 	js.mu.Unlock()
@@ -375,7 +375,7 @@ func TestBinaryPortCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.mu.Lock()
-	wantAssign, _ := json.Marshal(a.assignments)
+	wantAssign, _ := json.Marshal(sessionMaps(a).assignments)
 	a.mu.Unlock()
 	// Crash: no Close — journal file handle abandoned, listeners leak
 	// until the test process exits.
@@ -398,7 +398,7 @@ func TestBinaryPortCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered domain state not byte-identical:\nwant %s\ngot  %s", wantState, gotState)
 	}
 	b.mu.Lock()
-	gotAssign, _ := json.Marshal(b.assignments)
+	gotAssign, _ := json.Marshal(sessionMaps(b).assignments)
 	b.mu.Unlock()
 	if string(gotAssign) != string(wantAssign) {
 		t.Fatalf("recovered assignments not byte-identical:\nwant %s\ngot  %s", wantAssign, gotAssign)
@@ -432,9 +432,9 @@ func TestDisassocCheckpointConsistency(t *testing.T) {
 	}
 	defer b.Close()
 	b.mu.Lock()
-	_, inAssign := b.assignments["ghost"]
-	_, inAt := b.assignedAt["ghost"]
-	_, inServed := b.servedByUsr["ghost"]
+	_, inAssign := sessionMaps(b).assignments["ghost"]
+	_, inAt := sessionMaps(b).assignedAt["ghost"]
+	_, inServed := sessionMaps(b).servedByUsr["ghost"]
 	b.mu.Unlock()
 	if inAssign || inAt || inServed {
 		t.Errorf("recovered ghost user: assignments=%v assignedAt=%v servedByUsr=%v",

@@ -24,11 +24,11 @@ const engineStateVersion = 1
 
 // engineDoc is the serialized form of an Engine's learned state.
 type engineDoc struct {
-	Version int             `json:"version"`
-	Users   []trace.UserID  `json:"users,omitempty"`
+	Version int                  `json:"version"`
+	Users   []trace.UserID       `json:"users,omitempty"`
 	Types   map[trace.UserID]int `json:"types,omitempty"`
-	Matrix  [][]float64     `json:"matrix,omitempty"`
-	Learner json.RawMessage `json:"learner"`
+	Matrix  [][]float64          `json:"matrix,omitempty"`
+	Learner json.RawMessage      `json:"learner"`
 }
 
 // WriteState serializes the engine's learned state (user set, type

@@ -33,13 +33,13 @@ type leaveDoc struct {
 
 // learnerDoc is the serialized form of an OnlineLearner's state.
 type learnerDoc struct {
-	Version    int                                           `json:"version"`
-	Open       map[trace.APID]map[trace.UserID]presenceDoc   `json:"open,omitempty"`
-	RecentEnds map[trace.APID][]leaveDoc                     `json:"recent_ends,omitempty"`
-	Encounters map[string]int                                `json:"encounters,omitempty"`
-	CoLeaves   map[string]int                                `json:"co_leaves,omitempty"`
-	Types      map[trace.UserID]int                          `json:"types,omitempty"`
-	TypeMatrix [][]float64                                   `json:"type_matrix,omitempty"`
+	Version    int                                         `json:"version"`
+	Open       map[trace.APID]map[trace.UserID]presenceDoc `json:"open,omitempty"`
+	RecentEnds map[trace.APID][]leaveDoc                   `json:"recent_ends,omitempty"`
+	Encounters map[string]int                              `json:"encounters,omitempty"`
+	CoLeaves   map[string]int                              `json:"co_leaves,omitempty"`
+	Types      map[trace.UserID]int                        `json:"types,omitempty"`
+	TypeMatrix [][]float64                                 `json:"type_matrix,omitempty"`
 }
 
 // WriteState serializes the learner's complete state to w as JSON.
